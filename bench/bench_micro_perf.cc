@@ -40,6 +40,7 @@
 #include "db/postings_ops.hh"
 #include "policy/basic_policies.hh"
 #include "query/dsl.hh"
+#include "query/parser.hh"
 #include "retrieval/cache.hh"
 #include "retrieval/clock_cache.hh"
 #include "retrieval/ranger.hh"
@@ -138,6 +139,35 @@ BM_HashEmbedder(benchmark::State &state)
         benchmark::DoNotOptimize(embedder.embed(doc));
 }
 BENCHMARK(BM_HashEmbedder);
+
+/**
+ * Natural-language parse of one hit/miss question: stage-1 name
+ * ranking against both vocabularies plus the symbolic slots. Arg 0 is
+ * the engine's default vocabulary (3 workloads + 4 policies), arg 1 a
+ * 3-workload + 14-policy one, so the per-name cost stays visible.
+ */
+static void
+BM_ParseQuestion(benchmark::State &state)
+{
+    std::vector<std::string> policies = {"belady", "lru", "parrot",
+                                         "mlp"};
+    if (state.range(0) == 1) {
+        policies = {"lru",    "fifo",   "random", "srrip",
+                    "brrip",  "drrip",  "dip",    "ship",
+                    "belady", "parrot", "mlp",    "mockingjay",
+                    "hawkeye", "glider"};
+    }
+    const query::NlQueryParser parser({"astar", "lbm", "mcf"}, policies);
+    const std::string question =
+        "Does the memory access with PC 0x401dc9 and address "
+        "0x47ea85d37f result in a cache hit or cache miss for the lbm "
+        "workload and LRU replacement policy?";
+    for (auto _ : state)
+        benchmark::DoNotOptimize(parser.parse(question));
+    state.counters["names"] =
+        static_cast<double>(3 + policies.size());
+}
+BENCHMARK(BM_ParseQuestion)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 static void
 BM_SieveRetrieval(benchmark::State &state)

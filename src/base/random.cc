@@ -6,17 +6,6 @@
 
 namespace cachemind {
 
-std::uint64_t
-fnv1a(const std::string &s)
-{
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
-
 namespace {
 constexpr std::uint64_t
 rotl(std::uint64_t x, int k)

@@ -11,7 +11,7 @@
 #define CACHEMIND_BASE_RANDOM_HH
 
 #include <cstdint>
-#include <string>
+#include <string_view>
 
 namespace cachemind {
 
@@ -33,8 +33,29 @@ hashCombine(std::uint64_t a, std::uint64_t b)
                            (a >> 2)));
 }
 
+/** FNV-1a offset basis: the hash of the empty string. */
+constexpr std::uint64_t kFnv1aBasis = 0xcbf29ce484222325ULL;
+
+/**
+ * Continue an FNV-1a hash over more bytes, so that
+ * fnv1aExtend(fnv1a(a), b) == fnv1a(a + b) without building a + b.
+ */
+constexpr std::uint64_t
+fnv1aExtend(std::uint64_t h, std::string_view s)
+{
+    for (const char c : s) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
 /** FNV-1a hash of a byte string. */
-std::uint64_t fnv1a(const std::string &s);
+constexpr std::uint64_t
+fnv1a(std::string_view s)
+{
+    return fnv1aExtend(kFnv1aBasis, s);
+}
 
 /**
  * Small, fast deterministic RNG (xoshiro256** seeded via SplitMix64).

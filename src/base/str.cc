@@ -272,4 +272,47 @@ editDistance(const std::string &a, const std::string &b)
     return prev[m];
 }
 
+std::size_t
+cappedEditDistance(std::string_view a, std::string_view b)
+{
+    constexpr std::size_t kCap = 3;
+    constexpr std::size_t kBand = 2 * (kCap - 1) + 1;
+    const std::size_t n = a.size();
+    const std::size_t m = b.size();
+    if ((n > m ? n - m : m - n) >= kCap)
+        return kCap;
+    // Cell k of row i holds the capped distance between a[0, i) and
+    // b[0, j) for j = i + k - (kCap - 1); cells off the table hold kCap.
+    std::size_t prev[kBand];
+    std::size_t cur[kBand];
+    for (std::size_t k = 0; k < kBand; ++k) {
+        const std::size_t j = k - (kCap - 1); // wraps when j < 0
+        prev[k] = k >= kCap - 1 && j <= m ? j : kCap;
+    }
+    for (std::size_t i = 1; i <= n; ++i) {
+        std::size_t row_min = kCap;
+        for (std::size_t k = 0; k < kBand; ++k) {
+            const std::size_t j = i + k - (kCap - 1);
+            const bool on_table = i + k >= kCap - 1 && j <= m;
+            std::size_t d = kCap;
+            if (on_table && j == 0) {
+                d = std::min(i, kCap);
+            } else if (on_table) {
+                d = prev[k] + (a[i - 1] == b[j - 1] ? 0 : 1);
+                if (k + 1 < kBand)
+                    d = std::min(d, prev[k + 1] + 1);
+                if (k > 0)
+                    d = std::min(d, cur[k - 1] + 1);
+                d = std::min(d, kCap);
+            }
+            cur[k] = d;
+            row_min = std::min(row_min, d);
+        }
+        if (row_min >= kCap)
+            return kCap;
+        std::copy(cur, cur + kBand, prev);
+    }
+    return prev[m + (kCap - 1) - n];
+}
+
 } // namespace cachemind::str

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace cachemind::str {
@@ -78,6 +79,14 @@ std::vector<std::uint64_t> extractIntTokens(const std::string &text);
 
 /** Levenshtein edit distance (for fuzzy workload/policy matching). */
 std::size_t editDistance(const std::string &a, const std::string &b);
+
+/**
+ * min(editDistance(a, b), 3), without allocating. Only the diagonal
+ * band |i - j| <= 2 of the DP can hold a value below 3, so each row is
+ * five cells, and the scan stops as soon as a whole row exceeds 2.
+ * For callers that only tell distances 0, 1 and 2 apart.
+ */
+std::size_t cappedEditDistance(std::string_view a, std::string_view b);
 
 } // namespace cachemind::str
 

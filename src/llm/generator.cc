@@ -95,10 +95,10 @@ GeneratorLlm::buildPrompt(const ContextBundle &bundle,
 
 bool
 GeneratorLlm::maybeCopyExample(const ContextBundle &bundle,
-                               const Prompt &prompt, std::uint64_t qkey,
-                               Answer &out) const
+                               const std::vector<ExampleShot> &shots,
+                               std::uint64_t qkey, Answer &out) const
 {
-    if (prompt.shots.empty())
+    if (shots.empty())
         return false;
     if (retrieval::assessQuality(bundle) != ContextQuality::Low)
         return false;
@@ -106,7 +106,7 @@ GeneratorLlm::maybeCopyExample(const ContextBundle &bundle,
         return false;
     // The model silently substitutes the example's context for its
     // own missing evidence (the §6.1 failure mode).
-    const ExampleShot &shot = prompt.shots.front();
+    const ExampleShot &shot = shots.front();
     out.copied_example = true;
     out.text = shot.answer;
     if (shot.answer.find("Cache Miss") != std::string::npos)
@@ -138,11 +138,11 @@ GeneratorLlm::answer(const ContextBundle &bundle,
         return a;
     }
 
-    const Prompt prompt = buildPrompt(bundle, opts);
+    const auto &shots = canonicalShots(opts.shot_mode);
 
     switch (bundle.parsed.intent) {
       case QueryIntent::HitMiss:
-        return answerHitMiss(bundle, prompt, qkey);
+        return answerHitMiss(bundle, shots, qkey);
       case QueryIntent::MissRate: return answerMissRate(bundle, qkey);
       case QueryIntent::PolicyComparison:
         return answerComparison(bundle, qkey);
@@ -163,7 +163,7 @@ GeneratorLlm::answer(const ContextBundle &bundle,
 
     Answer a;
     Answer copied;
-    if (maybeCopyExample(bundle, prompt, qkey, copied))
+    if (maybeCopyExample(bundle, shots, qkey, copied))
         return copied;
     a.text = "I could not map this question onto the trace database.";
     return a;
@@ -171,7 +171,7 @@ GeneratorLlm::answer(const ContextBundle &bundle,
 
 Answer
 GeneratorLlm::answerHitMiss(const ContextBundle &bundle,
-                            const Prompt &prompt,
+                            const std::vector<ExampleShot> &shots,
                             std::uint64_t qkey) const
 {
     Answer a;
@@ -211,7 +211,7 @@ GeneratorLlm::answerHitMiss(const ContextBundle &bundle,
     // 2. Premise rejection path.
     if (bundle.premise_violation) {
         double scepticism = profile_.skepticism;
-        if (prompt.hasTrickShot())
+        if (hasTrickShot(shots))
             scepticism = std::min(1.0, scepticism + 0.25);
         if (roll(qkey, "skepticism", scepticism)) {
             a.rejected_premise = true;
@@ -260,7 +260,7 @@ GeneratorLlm::answerHitMiss(const ContextBundle &bundle,
 
     // 5. No usable evidence: copy an example or hallucinate a guess.
     Answer copied;
-    if (maybeCopyExample(bundle, prompt, qkey, copied))
+    if (maybeCopyExample(bundle, shots, qkey, copied))
         return copied;
     if (roll(qkey, "skepticism-weak", profile_.skepticism)) {
         a.rejected_premise = true;

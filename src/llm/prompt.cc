@@ -30,6 +30,16 @@ Prompt::render() const
     return os.str();
 }
 
+bool
+hasTrickShot(const std::vector<ExampleShot> &shots)
+{
+    for (const auto &s : shots) {
+        if (s.demonstrates_trick)
+            return true;
+    }
+    return false;
+}
+
 std::string
 defaultSystemPrompt()
 {
@@ -40,8 +50,10 @@ defaultSystemPrompt()
            "address), say so instead of guessing.";
 }
 
+namespace {
+
 std::vector<ExampleShot>
-canonicalShots(ShotMode mode)
+buildShots(ShotMode mode)
 {
     std::vector<ExampleShot> shots;
     if (mode == ShotMode::ZeroShot)
@@ -73,6 +85,17 @@ canonicalShots(ShotMode mode)
             "astar, not mcf.", true});
     }
     return shots;
+}
+
+} // namespace
+
+const std::vector<ExampleShot> &
+canonicalShots(ShotMode mode)
+{
+    static const std::vector<ExampleShot> shots[] = {
+        buildShots(ShotMode::ZeroShot), buildShots(ShotMode::OneShot),
+        buildShots(ShotMode::FewShot)};
+    return shots[static_cast<int>(mode)];
 }
 
 } // namespace cachemind::llm

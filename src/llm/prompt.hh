@@ -40,23 +40,19 @@ struct Prompt
 
     /** Full text as it would be sent to a completion API. */
     std::string render() const;
-
-    bool
-    hasTrickShot() const
-    {
-        for (const auto &s : shots) {
-            if (s.demonstrates_trick)
-                return true;
-        }
-        return false;
-    }
 };
+
+/** True when one of `shots` demonstrates rejecting a false premise. */
+bool hasTrickShot(const std::vector<ExampleShot> &shots);
 
 /** The generator's default system prompt. */
 std::string defaultSystemPrompt();
 
-/** Canonical example shots used by the prompting ablation (Fig. 6). */
-std::vector<ExampleShot> canonicalShots(ShotMode mode);
+/**
+ * Canonical example shots used by the prompting ablation (Fig. 6):
+ * one constant list per mode, built on first use.
+ */
+const std::vector<ExampleShot> &canonicalShots(ShotMode mode);
 
 } // namespace cachemind::llm
 

@@ -23,8 +23,8 @@ hasAny(const std::string &lower,
 
 NlQueryParser::NlQueryParser(std::vector<std::string> workload_names,
                              std::vector<std::string> policy_names)
-    : workload_names_(std::move(workload_names)),
-      policy_names_(std::move(policy_names)), embedder_(128)
+    : embedder_(128), workloads_(std::move(workload_names), embedder_),
+      policies_(std::move(policy_names), embedder_)
 {
 }
 
@@ -36,15 +36,13 @@ NlQueryParser::parse(const std::string &text) const
     const std::string lower = str::toLower(text);
 
     // --- Stage 1: workload / policy extraction (semantic + fuzzy).
-    const auto wl_matches =
-        text::rankNames(lower, workload_names_, embedder_);
-    for (const auto &m : wl_matches) {
+    // The text is embedded once and ranked against both vocabularies.
+    const text::EmbeddedQuery embedded(lower, embedder_);
+    for (const auto &m : workloads_.rank(embedded)) {
         if (m.score >= 0.9)
             q.workloads.push_back(m.name);
     }
-    const auto pol_matches =
-        text::rankNames(lower, policy_names_, embedder_);
-    for (const auto &m : pol_matches) {
+    for (const auto &m : policies_.rank(embedded)) {
         if (m.score >= 0.9)
             q.policies.push_back(m.name);
     }

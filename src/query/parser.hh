@@ -27,20 +27,20 @@ class NlQueryParser
 
     const std::vector<std::string> &workloadNames() const
     {
-        return workload_names_;
+        return workloads_.names();
     }
     const std::vector<std::string> &policyNames() const
     {
-        return policy_names_;
+        return policies_.names();
     }
 
   private:
     QueryIntent classifyIntent(const std::string &lower,
                                const ParsedQuery &slots) const;
 
-    std::vector<std::string> workload_names_;
-    std::vector<std::string> policy_names_;
     text::HashEmbedder embedder_;
+    text::NameVocabulary workloads_;
+    text::NameVocabulary policies_;
 };
 
 } // namespace cachemind::query

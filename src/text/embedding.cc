@@ -33,19 +33,36 @@ tokenize(const std::string &text)
     return tokens;
 }
 
+namespace {
+
+double
+squaredNorm(const std::vector<float> &v)
+{
+    double norm = 0.0;
+    for (const float x : v)
+        norm += static_cast<double>(x) * x;
+    return norm;
+}
+
+/** cosine()'s last step, from its dot product and squared norms. */
+double
+cosineOf(double dot, double na, double nb)
+{
+    if (na <= 0.0 || nb <= 0.0)
+        return 0.0;
+    return dot / std::sqrt(na * nb);
+}
+
+} // namespace
+
 double
 cosine(const std::vector<float> &a, const std::vector<float> &b)
 {
     CM_ASSERT(a.size() == b.size(), "cosine dims mismatch");
-    double dot = 0.0, na = 0.0, nb = 0.0;
-    for (std::size_t i = 0; i < a.size(); ++i) {
+    double dot = 0.0;
+    for (std::size_t i = 0; i < a.size(); ++i)
         dot += static_cast<double>(a[i]) * b[i];
-        na += static_cast<double>(a[i]) * a[i];
-        nb += static_cast<double>(b[i]) * b[i];
-    }
-    if (na <= 0.0 || nb <= 0.0)
-        return 0.0;
-    return dot / std::sqrt(na * nb);
+    return cosineOf(dot, squaredNorm(a), squaredNorm(b));
 }
 
 HashEmbedder::HashEmbedder(std::size_t dims) : dims_(dims)
@@ -54,10 +71,9 @@ HashEmbedder::HashEmbedder(std::size_t dims) : dims_(dims)
 }
 
 void
-HashEmbedder::addFeature(std::vector<float> &v, const std::string &feat,
+HashEmbedder::addFeature(std::vector<float> &v, std::uint64_t h,
                          float weight) const
 {
-    const std::uint64_t h = fnv1a(feat);
     const std::size_t slot = static_cast<std::size_t>(h % dims_);
     // Signed hashing reduces collision bias.
     const float sign = (splitMix64(h) & 1) ? 1.0f : -1.0f;
@@ -67,22 +83,31 @@ HashEmbedder::addFeature(std::vector<float> &v, const std::string &feat,
 std::vector<float>
 HashEmbedder::embed(const std::string &text) const
 {
+    return embedTokens(tokenize(text));
+}
+
+std::vector<float>
+HashEmbedder::embedTokens(const std::vector<std::string> &tokens) const
+{
+    // Features are hashed in place: a bigram is the bytes of
+    // tok + "_" + next, a trigram those of "#" + three chars.
+    constexpr std::uint64_t kTrigramBasis = fnv1a("#");
     std::vector<float> v(dims_, 0.0f);
-    const auto tokens = tokenize(text);
     for (std::size_t i = 0; i < tokens.size(); ++i) {
-        addFeature(v, tokens[i], 1.0f);
+        const std::uint64_t h = fnv1a(tokens[i]);
+        addFeature(v, h, 1.0f);
         if (i + 1 < tokens.size())
-            addFeature(v, tokens[i] + "_" + tokens[i + 1], 0.5f);
+            addFeature(v, fnv1aExtend(fnv1aExtend(h, "_"), tokens[i + 1]),
+                       0.5f);
         // Character trigrams give robustness to morphology.
-        const std::string &t = tokens[i];
+        const std::string_view t = tokens[i];
         if (t.size() > 3) {
             for (std::size_t k = 0; k + 3 <= t.size(); ++k)
-                addFeature(v, "#" + t.substr(k, 3), 0.25f);
+                addFeature(v, fnv1aExtend(kTrigramBasis, t.substr(k, 3)),
+                           0.25f);
         }
     }
-    double norm = 0.0;
-    for (const float x : v)
-        norm += static_cast<double>(x) * x;
+    const double norm = squaredNorm(v);
     if (norm > 0.0) {
         const float inv = static_cast<float>(1.0 / std::sqrt(norm));
         for (float &x : v)
@@ -126,32 +151,61 @@ VectorIndex::topK(const std::string &query, std::size_t k) const
     return hits;
 }
 
-std::vector<NameMatch>
-rankNames(const std::string &query,
-          const std::vector<std::string> &names,
-          const HashEmbedder &embedder)
+EmbeddedQuery::EmbeddedQuery(const std::string &text,
+                             const HashEmbedder &embedder)
+    : tokens(tokenize(text)), vec(embedder.embedTokens(tokens)),
+      norm2(squaredNorm(vec))
 {
-    const auto tokens = tokenize(query);
-    const auto qvec = embedder.embed(query);
+}
+
+NameVocabulary::NameVocabulary(std::vector<std::string> names,
+                               const HashEmbedder &embedder)
+    : names_(std::move(names))
+{
+    entries_.reserve(names_.size());
+    for (const auto &name : names_) {
+        Entry e;
+        e.lower = str::toLower(name);
+        const auto vec = embedder.embed(name);
+        for (std::size_t i = 0; i < vec.size(); ++i) {
+            if (vec[i] != 0.0f)
+                e.dims.emplace_back(static_cast<std::uint32_t>(i), vec[i]);
+        }
+        e.norm2 = squaredNorm(vec);
+        entries_.push_back(std::move(e));
+    }
+}
+
+std::vector<NameMatch>
+NameVocabulary::rank(const EmbeddedQuery &query) const
+{
     std::vector<NameMatch> out;
-    for (const auto &name : names) {
-        double score = cosine(qvec, embedder.embed(name));
+    out.reserve(names_.size());
+    for (std::size_t n = 0; n < names_.size(); ++n) {
+        const Entry &e = entries_[n];
+        // cosine(query, name): a zero dim adds nothing to the dot.
+        double dot = 0.0;
+        for (const auto &[dim, x] : e.dims)
+            dot += static_cast<double>(query.vec[dim]) * x;
+        double score = cosineOf(dot, query.norm2, e.norm2);
         // Exact token membership dominates.
-        for (const auto &tok : tokens) {
-            if (tok == str::toLower(name)) {
+        for (const auto &tok : query.tokens) {
+            if (tok == e.lower) {
                 score += 1.0;
                 break;
             }
         }
-        // Light fuzzy credit for near-miss spellings ("beladys").
-        std::size_t best_ed = name.size();
-        for (const auto &tok : tokens)
-            best_ed = std::min(best_ed,
-                               str::editDistance(tok,
-                                                 str::toLower(name)));
-        if (best_ed <= 2 && name.size() > 3)
-            score += 0.5 * (3.0 - static_cast<double>(best_ed)) / 3.0;
-        out.push_back(NameMatch{name, score});
+        // Light fuzzy credit for near-miss spellings ("beladys"): only
+        // distances 0-2 to names longer than 3 characters earn any.
+        if (e.lower.size() > 3) {
+            std::size_t best_ed = 3;
+            for (const auto &tok : query.tokens)
+                best_ed = std::min(best_ed,
+                                   str::cappedEditDistance(tok, e.lower));
+            if (best_ed <= 2)
+                score += 0.5 * (3.0 - static_cast<double>(best_ed)) / 3.0;
+        }
+        out.push_back(NameMatch{names_[n], score});
     }
     std::sort(out.begin(), out.end(),
               [](const NameMatch &a, const NameMatch &b) {
@@ -160,6 +214,15 @@ rankNames(const std::string &query,
                   return a.name < b.name;
               });
     return out;
+}
+
+std::vector<NameMatch>
+rankNames(const std::string &query,
+          const std::vector<std::string> &names,
+          const HashEmbedder &embedder)
+{
+    return NameVocabulary(names, embedder)
+        .rank(EmbeddedQuery(query, embedder));
 }
 
 } // namespace cachemind::text

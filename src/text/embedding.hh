@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace cachemind::text {
@@ -37,13 +38,18 @@ class HashEmbedder
     /** Embed text into an L2-normalised vector. */
     std::vector<float> embed(const std::string &text) const;
 
+    /** embed() of text that tokenize() already split. */
+    std::vector<float>
+    embedTokens(const std::vector<std::string> &tokens) const;
+
     std::size_t dims() const { return dims_; }
 
     /** Convenience: cosine similarity of two texts. */
     double similarity(const std::string &a, const std::string &b) const;
 
   private:
-    void addFeature(std::vector<float> &v, const std::string &feat,
+    /** Add the feature whose FNV-1a hash is `h`. */
+    void addFeature(std::vector<float> &v, std::uint64_t h,
                     float weight) const;
 
     std::size_t dims_;
@@ -100,6 +106,47 @@ struct NameMatch
     double score = 0.0;
 };
 
+/** A query tokenized and embedded once, for ranking many vocabularies. */
+struct EmbeddedQuery
+{
+    EmbeddedQuery(const std::string &text, const HashEmbedder &embedder);
+
+    std::vector<std::string> tokens;
+    std::vector<float> vec;
+    /** Squared L2 norm of `vec`, as cosine() sums it. */
+    double norm2 = 0.0;
+};
+
+/**
+ * Candidate names prepared for ranking: each name's lower-case form
+ * and embedding are computed once, at construction, instead of once
+ * per question.
+ */
+class NameVocabulary
+{
+  public:
+    NameVocabulary(std::vector<std::string> names,
+                   const HashEmbedder &embedder);
+
+    /** Every name with its score, best first (ties by name). */
+    std::vector<NameMatch> rank(const EmbeddedQuery &query) const;
+
+    const std::vector<std::string> &names() const { return names_; }
+
+  private:
+    struct Entry
+    {
+        std::string lower;
+        /** Non-zero embedding dims, ascending: names are short. */
+        std::vector<std::pair<std::uint32_t, float>> dims;
+        double norm2 = 0.0;
+    };
+
+    std::vector<std::string> names_;
+    std::vector<Entry> entries_;
+};
+
+/** One-shot ranking: NameVocabulary(names).rank(EmbeddedQuery(query)). */
 std::vector<NameMatch> rankNames(const std::string &query,
                                  const std::vector<std::string> &names,
                                  const HashEmbedder &embedder);

@@ -100,6 +100,29 @@ TEST(StrTest, EditDistance)
     EXPECT_EQ(str::editDistance("", "abc"), 3u);
 }
 
+TEST(StrTest, CappedEditDistanceMatchesEditDistanceExhaustively)
+{
+    // Every string of length 0-5 over a 3-letter alphabet, all pairs.
+    std::vector<std::string> words = {""};
+    for (std::size_t begin = 0, len = 1; len <= 5; ++len) {
+        const std::size_t end = words.size();
+        for (std::size_t w = begin; w < end; ++w) {
+            for (const char c : {'a', 'b', 'c'})
+                words.push_back(words[w] + c);
+        }
+        begin = end;
+    }
+    ASSERT_EQ(words.size(), 364u);
+    for (const auto &a : words) {
+        for (const auto &b : words) {
+            const std::size_t exact = str::editDistance(a, b);
+            ASSERT_EQ(str::cappedEditDistance(a, b),
+                      exact <= 2 ? exact : 3u)
+                << "'" << a << "' vs '" << b << "'";
+        }
+    }
+}
+
 TEST(StrTest, ReplaceAllAndJoin)
 {
     EXPECT_EQ(str::replaceAll("a%%b%%c", "%%", "%"), "a%b%c");
@@ -182,6 +205,15 @@ TEST(RandomTest, Fnv1aDistinguishes)
 {
     EXPECT_NE(cm::fnv1a("lru"), cm::fnv1a("lrv"));
     EXPECT_EQ(cm::fnv1a("belady"), cm::fnv1a("belady"));
+}
+
+TEST(RandomTest, Fnv1aExtendContinuesTheHash)
+{
+    EXPECT_EQ(cm::fnv1a(""), cm::kFnv1aBasis);
+    EXPECT_EQ(cm::fnv1aExtend(cm::fnv1a("miss"), "_rate"),
+              cm::fnv1a("miss_rate"));
+    EXPECT_EQ(cm::fnv1aExtend(cm::fnv1aExtend(cm::fnv1a("a"), "_"), "b"),
+              cm::fnv1a(std::string("a") + "_" + "b"));
 }
 
 TEST(StatsTest, MeanVarianceStdev)

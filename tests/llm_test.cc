@@ -101,7 +101,7 @@ TEST(PromptTest, RenderIncludesShotsAndQuestion)
     EXPECT_NE(text.find("EXAMPLE 1:"), std::string::npos);
     EXPECT_NE(text.find("EXAMPLE 3:"), std::string::npos);
     EXPECT_NE(text.find("Q?"), std::string::npos);
-    EXPECT_TRUE(prompt.hasTrickShot());
+    EXPECT_TRUE(hasTrickShot(prompt.shots));
 }
 
 TEST(PromptTest, ShotModesProduceExpectedCounts)
@@ -109,6 +109,15 @@ TEST(PromptTest, ShotModesProduceExpectedCounts)
     EXPECT_EQ(canonicalShots(ShotMode::ZeroShot).size(), 0u);
     EXPECT_EQ(canonicalShots(ShotMode::OneShot).size(), 1u);
     EXPECT_EQ(canonicalShots(ShotMode::FewShot).size(), 3u);
+}
+
+TEST(PromptTest, CanonicalShotsAreBuiltOnce)
+{
+    for (const auto mode :
+         {ShotMode::ZeroShot, ShotMode::OneShot, ShotMode::FewShot})
+        EXPECT_EQ(&canonicalShots(mode), &canonicalShots(mode));
+    EXPECT_FALSE(hasTrickShot(canonicalShots(ShotMode::OneShot)));
+    EXPECT_TRUE(hasTrickShot(canonicalShots(ShotMode::FewShot)));
 }
 
 TEST(MemoryTest, SlidingBufferEvictsIntoSummary)
@@ -314,6 +323,106 @@ TEST(GeneratorTest, FewShotCopyingRequiresLowQualityContext)
     const auto good_bundle = sieve.retrieve(gold.question);
     const auto answer = gen.answer(good_bundle, opts);
     EXPECT_FALSE(answer.copied_example);
+}
+
+// answer() reads only the shots of the prompt and so never builds it;
+// these pin that buildPrompt() still assembles what answer() stands for.
+TEST(GeneratorTest, BuildPromptRendersTheBundleAndCanonicalShots)
+{
+    retrieval::SieveRetriever sieve(sharedDb());
+    const GeneratorLlm gen(BackendKind::Gpt4o);
+    const auto bundle = sieve.retrieve(goldHitMiss().question);
+    for (const auto mode :
+         {ShotMode::ZeroShot, ShotMode::OneShot, ShotMode::FewShot}) {
+        GenerationOptions opts;
+        opts.shot_mode = mode;
+        const Prompt prompt = gen.buildPrompt(bundle, opts);
+        EXPECT_EQ(prompt.system, defaultSystemPrompt());
+        EXPECT_EQ(prompt.context, bundle.render());
+        EXPECT_EQ(prompt.question, bundle.parsed.raw);
+        const auto &shots = canonicalShots(mode);
+        ASSERT_EQ(prompt.shots.size(), shots.size());
+        for (std::size_t i = 0; i < shots.size(); ++i) {
+            EXPECT_EQ(prompt.shots[i].context, shots[i].context);
+            EXPECT_EQ(prompt.shots[i].question, shots[i].question);
+            EXPECT_EQ(prompt.shots[i].answer, shots[i].answer);
+            EXPECT_EQ(prompt.shots[i].demonstrates_trick,
+                      shots[i].demonstrates_trick);
+        }
+    }
+}
+
+namespace {
+
+/** A hit/miss bundle with no row, stats or text evidence. */
+retrieval::ContextBundle
+bareHitMissBundle(int variant)
+{
+    retrieval::ContextBundle b;
+    b.parsed.intent = query::QueryIntent::HitMiss;
+    b.parsed.pc = 0x4090c3;
+    b.parsed.address = 0x1b73be82e3f;
+    b.parsed.raw = "Does PC 0x4090c3 hit at 0x1b73be82e3f in mcf? (" +
+                   std::to_string(variant) + ")";
+    return b;
+}
+
+Answer
+answerWith(const GeneratorLlm &gen, const retrieval::ContextBundle &b,
+           ShotMode mode)
+{
+    GenerationOptions opts;
+    opts.shot_mode = mode;
+    return gen.answer(b, opts);
+}
+
+} // namespace
+
+TEST(GeneratorTest, FewShotTrickShotRaisesScepticism)
+{
+    // A backend that never rejects a premise on its own: only the
+    // few-shot trick example (+0.25 scepticism) can make it reject.
+    CapabilityProfile profile;
+    profile.skepticism = 0.0;
+    const GeneratorLlm gen("never-sceptical", profile);
+    int few_shot_rejections = 0;
+    for (int i = 0; i < 64; ++i) {
+        auto b = bareHitMissBundle(i);
+        b.premise_violation = true;
+        b.premise_note = "PC 0x4090c3 belongs to astar, not mcf.";
+        EXPECT_FALSE(
+            answerWith(gen, b, ShotMode::ZeroShot).rejected_premise);
+        EXPECT_FALSE(
+            answerWith(gen, b, ShotMode::OneShot).rejected_premise);
+        const Answer few = answerWith(gen, b, ShotMode::FewShot);
+        if (few.rejected_premise) {
+            ++few_shot_rejections;
+            EXPECT_EQ(few.text, "TRICK: " + b.premise_note);
+        }
+    }
+    EXPECT_GT(few_shot_rejections, 0);
+}
+
+TEST(GeneratorTest, CopyExampleNeverFiresUnderZeroShot)
+{
+    // Fully overreliant, on context with no evidence at all: any shot
+    // in the prompt gets copied, and zero-shot has none to copy.
+    CapabilityProfile profile;
+    profile.context_overreliance = 1.0;
+    const GeneratorLlm gen("overreliant", profile);
+    for (int i = 0; i < 32; ++i) {
+        auto hit_miss = bareHitMissBundle(i);
+        auto unknown = hit_miss;
+        unknown.parsed.intent = query::QueryIntent::Unknown;
+        for (const auto &b : {hit_miss, unknown}) {
+            EXPECT_FALSE(
+                answerWith(gen, b, ShotMode::ZeroShot).copied_example);
+            const Answer one = answerWith(gen, b, ShotMode::OneShot);
+            EXPECT_TRUE(one.copied_example);
+            EXPECT_EQ(one.text,
+                      canonicalShots(ShotMode::OneShot).front().answer);
+        }
+    }
 }
 
 TEST(GeneratorTest, DisengagedAnswerIsMarked)

@@ -7,9 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <random>
 #include <sstream>
 
+#include "base/random.hh"
+#include "base/str.hh"
 #include "db/builder.hh"
 #include "query/dsl.hh"
 #include "query/parser.hh"
@@ -168,6 +172,275 @@ TEST(ParserTest, PcVsAddressDisambiguation)
     EXPECT_EQ(*q.pc, 0x409270u);
     ASSERT_TRUE(q.address.has_value());
     EXPECT_EQ(*q.address, 0x2bfd401c63fULL);
+}
+
+// ------------------------------------- stage-1 differential reference
+
+namespace reference {
+
+// The stage-1 parse path as it was before names were prepared once per
+// vocabulary, copied verbatim except that the embedder's private
+// helpers became free functions: the string-building feature hasher,
+// the per-question rankNames, and parse()'s stage 1. The parser must
+// reproduce its output exactly.
+
+void
+addFeature(std::vector<float> &v, const std::string &feat, float weight)
+{
+    const std::uint64_t h = fnv1a(feat);
+    const std::size_t slot = static_cast<std::size_t>(h % v.size());
+    // Signed hashing reduces collision bias.
+    const float sign = (splitMix64(h) & 1) ? 1.0f : -1.0f;
+    v[slot] += sign * weight;
+}
+
+std::vector<float>
+embed(const std::string &text)
+{
+    std::vector<float> v(128, 0.0f);
+    const auto tokens = text::tokenize(text);
+    for (std::size_t i = 0; i < tokens.size(); ++i) {
+        addFeature(v, tokens[i], 1.0f);
+        if (i + 1 < tokens.size())
+            addFeature(v, tokens[i] + "_" + tokens[i + 1], 0.5f);
+        // Character trigrams give robustness to morphology.
+        const std::string &t = tokens[i];
+        if (t.size() > 3) {
+            for (std::size_t k = 0; k + 3 <= t.size(); ++k)
+                addFeature(v, "#" + t.substr(k, 3), 0.25f);
+        }
+    }
+    double norm = 0.0;
+    for (const float x : v)
+        norm += static_cast<double>(x) * x;
+    if (norm > 0.0) {
+        const float inv = static_cast<float>(1.0 / std::sqrt(norm));
+        for (float &x : v)
+            x *= inv;
+    }
+    return v;
+}
+
+double
+cosine(const std::vector<float> &a, const std::vector<float> &b)
+{
+    double dot = 0.0, na = 0.0, nb = 0.0;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        dot += static_cast<double>(a[i]) * b[i];
+        na += static_cast<double>(a[i]) * a[i];
+        nb += static_cast<double>(b[i]) * b[i];
+    }
+    if (na <= 0.0 || nb <= 0.0)
+        return 0.0;
+    return dot / std::sqrt(na * nb);
+}
+
+std::vector<text::NameMatch>
+rankNames(const std::string &query,
+          const std::vector<std::string> &names)
+{
+    const auto tokens = text::tokenize(query);
+    const auto qvec = embed(query);
+    std::vector<text::NameMatch> out;
+    for (const auto &name : names) {
+        double score = cosine(qvec, embed(name));
+        // Exact token membership dominates.
+        for (const auto &tok : tokens) {
+            if (tok == str::toLower(name)) {
+                score += 1.0;
+                break;
+            }
+        }
+        // Light fuzzy credit for near-miss spellings ("beladys").
+        std::size_t best_ed = name.size();
+        for (const auto &tok : tokens)
+            best_ed = std::min(best_ed,
+                               str::editDistance(tok,
+                                                 str::toLower(name)));
+        if (best_ed <= 2 && name.size() > 3)
+            score += 0.5 * (3.0 - static_cast<double>(best_ed)) / 3.0;
+        out.push_back(text::NameMatch{name, score});
+    }
+    std::sort(out.begin(), out.end(),
+              [](const text::NameMatch &a, const text::NameMatch &b) {
+                  if (a.score != b.score)
+                      return a.score > b.score;
+                  return a.name < b.name;
+              });
+    return out;
+}
+
+bool
+hasAny(const std::string &lower,
+       std::initializer_list<const char *> needles)
+{
+    for (const char *n : needles) {
+        if (lower.find(n) != std::string::npos)
+            return true;
+    }
+    return false;
+}
+
+/** parse()'s stage 1: the workload and policy slots. */
+ParsedQuery
+stage1(const std::string &text,
+       const std::vector<std::string> &workload_names_,
+       const std::vector<std::string> &policy_names_)
+{
+    ParsedQuery q;
+    const std::string lower = str::toLower(text);
+
+    // --- Stage 1: workload / policy extraction (semantic + fuzzy).
+    const auto wl_matches = rankNames(lower, workload_names_);
+    for (const auto &m : wl_matches) {
+        if (m.score >= 0.9)
+            q.workloads.push_back(m.name);
+    }
+    const auto pol_matches = rankNames(lower, policy_names_);
+    for (const auto &m : pol_matches) {
+        if (m.score >= 0.9)
+            q.policies.push_back(m.name);
+    }
+    // Common aliases not in the canonical vocabulary.
+    if (q.policies.empty()) {
+        if (hasAny(lower, {"belady", "optimal", "opt ", "min policy"}))
+            q.policies.push_back("belady");
+        if (hasAny(lower, {"least recently used"}))
+            q.policies.push_back("lru");
+    }
+    return q;
+}
+
+} // namespace reference
+
+namespace {
+
+/** One question per intent, so every classification path runs. */
+const std::vector<std::pair<std::string, QueryIntent>> &
+intentQuestions()
+{
+    static const std::vector<std::pair<std::string, QueryIntent>> qs = {
+        {"Does the memory access with PC 0x401e31 and address "
+         "0x35e798a637f result in a cache hit or cache miss for the lbm "
+         "workload under PARROT?",
+         QueryIntent::HitMiss},
+        {"What is the miss rate for PC 0x4037ba in mcf with PARROT?",
+         QueryIntent::MissRate},
+        {"Which policy has the lowest miss rate for PC 0x409270 in "
+         "astar?",
+         QueryIntent::PolicyComparison},
+        {"How many times did PC 0x405832 appear in astar under LRU?",
+         QueryIntent::Count},
+        {"What is the average evicted reuse distance of PC 0x40170a for "
+         "the lbm workload with MLP?",
+         QueryIntent::Arithmetic},
+        {"List all unique PCs in the mcf workload under LRU.",
+         QueryIntent::ListPcs},
+        {"For astar and Belady, could you list the unique cache sets in "
+         "ascending order?",
+         QueryIntent::ListSets},
+        {"Identify 5 hot and 5 cold sets by hit rate for astar under "
+         "LRU.",
+         QueryIntent::SetStats},
+        {"Tell me about PC 0x4037aa in mcf under LRU.",
+         QueryIntent::PcStats},
+        {"Which PCs cause the most cache misses in mcf under Belady?",
+         QueryIntent::TopPcs},
+        {"Why does Belady outperform LRU on PC 0x409270 in astar?",
+         QueryIntent::Explain},
+        {"Which choice gives a lower miss rate, more sets or more ways, "
+         "for a fixed cache size?",
+         QueryIntent::Concept},
+        {"Write code to compute hits for PC 0x4037ba in mcf under LRU.",
+         QueryIntent::CodeGen},
+        {"Good morning, how are you today?", QueryIntent::Unknown},
+    };
+    return qs;
+}
+
+/** Case and misspelling variants, plus the alias fallbacks. */
+const std::vector<std::string> &
+variantQuestions()
+{
+    static const std::vector<std::string> qs = {
+        "Why does Beladys beat LRU on PC 0x4037aa in mcf?",
+        "What is the miss rate of astr under parot?",
+        "How many misses does mcff have under Belady?",
+        "Compare LRU and BELADY on MCF for PC 0x409270.",
+        "Does Lbm hit under PaRrOt at PC 0x401dc9 and address "
+        "0x47ea85d37f?",
+        "rank the policies for astr: beladyy, lru, parrrot, mlpp",
+        "What would the optimal policy do on lbm?",
+        "Is least recently used good for mcf?",
+        "milc microbench mockingjay hawkeye glider srrip drrip",
+        "",
+        "!!! ???",
+    };
+    return qs;
+}
+
+/** Stage 1 against the reference, and the scores bit for bit. */
+void
+expectMatchesReference(const NlQueryParser &parser,
+                       const std::string &text)
+{
+    SCOPED_TRACE(text);
+    const ParsedQuery got = parser.parse(text);
+    const ParsedQuery want = reference::stage1(
+        text, parser.workloadNames(), parser.policyNames());
+    EXPECT_EQ(got.workloads, want.workloads);
+    EXPECT_EQ(got.policies, want.policies);
+
+    const std::string lower = str::toLower(text);
+    const text::HashEmbedder embedder(128);
+    EXPECT_EQ(embedder.embed(lower), reference::embed(lower));
+    for (const auto *names :
+         {&parser.workloadNames(), &parser.policyNames()}) {
+        const auto ranked = text::rankNames(lower, *names, embedder);
+        const auto ref = reference::rankNames(lower, *names);
+        ASSERT_EQ(ranked.size(), ref.size());
+        for (std::size_t i = 0; i < ref.size(); ++i) {
+            EXPECT_EQ(ranked[i].name, ref[i].name) << "rank " << i;
+            EXPECT_EQ(ranked[i].score, ref[i].score) << ref[i].name;
+        }
+    }
+}
+
+std::vector<NlQueryParser>
+differentialParsers()
+{
+    return {
+        makeParser(),
+        // The engine's default vocabulary.
+        NlQueryParser({"astar", "lbm", "mcf"},
+                      {"belady", "lru", "parrot", "mlp"}),
+        // 3 workloads + 14 policies.
+        NlQueryParser({"astar", "lbm", "mcf"},
+                      {"lru", "fifo", "random", "srrip", "brrip",
+                       "drrip", "dip", "ship", "belady", "parrot",
+                       "mlp", "mockingjay", "hawkeye", "glider"}),
+    };
+}
+
+} // namespace
+
+TEST(ParserDifferentialTest, IntentQuestionsMatchReference)
+{
+    const auto parser = makeParser();
+    for (const auto &[text, intent] : intentQuestions())
+        EXPECT_EQ(parser.parse(text).intent, intent) << text;
+    for (const auto &p : differentialParsers()) {
+        for (const auto &[text, intent] : intentQuestions())
+            expectMatchesReference(p, text);
+    }
+}
+
+TEST(ParserDifferentialTest, CaseAndMisspellingVariantsMatchReference)
+{
+    for (const auto &p : differentialParsers()) {
+        for (const auto &text : variantQuestions())
+            expectMatchesReference(p, text);
+    }
 }
 
 // ------------------------------------------------------ interpreter
