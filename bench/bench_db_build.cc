@@ -3,8 +3,9 @@
  * Micro-bench for the parallel database build: constructs the same
  * 3-workload x 4-policy database sequentially (build_threads=1) and
  * on a 4-thread pool, reports both wall-clock times, and verifies the
- * outputs are identical (keys, metadata strings, per-entry row
- * counts). On a multicore host the parallel build approaches the
+ * outputs are identical: keys, metadata and description strings, and
+ * every column of every table (db::tableDigest). Exits 1 on any
+ * mismatch. On a multicore host the parallel build approaches the
  * per-workload critical path; on a single core it degrades to
  * sequential cost plus noise — either way the outputs must match.
  */
@@ -14,6 +15,7 @@
 
 #include "base/stopwatch.hh"
 #include "db/builder.hh"
+#include "db/export.hh"
 
 using namespace cachemind;
 
@@ -52,7 +54,8 @@ main()
             const auto *b = parallel.find(key);
             if (!b || a->metadata != b->metadata ||
                 a->description != b->description ||
-                a->table.size() != b->table.size()) {
+                a->table.size() != b->table.size() ||
+                db::tableDigest(a->table) != db::tableDigest(b->table)) {
                 identical = false;
                 std::printf("MISMATCH at %s\n", key.c_str());
                 break;

@@ -2,7 +2,9 @@
 
 #include <ostream>
 #include <sstream>
+#include <string_view>
 
+#include "base/random.hh"
 #include "base/str.hh"
 
 namespace cachemind::db {
@@ -114,6 +116,68 @@ exportManifest(const TraceDatabase &db, std::ostream &os)
         os << "description = " << csvField(entry->description) << "\n";
         os << "metadata = " << csvField(entry->metadata) << "\n";
     }
+}
+
+namespace {
+
+/** Extend `h` by one field and a unit separator. */
+std::uint64_t
+foldField(std::uint64_t h, std::string_view field)
+{
+    return fnv1aExtend(fnv1aExtend(h, field), "\x1f");
+}
+
+} // namespace
+
+std::uint64_t
+tableDigest(const TraceTable &t)
+{
+    std::uint64_t h = kFnv1aBasis;
+    std::ostringstream os;
+    for (std::size_t i = 0; i < t.size(); ++i) {
+        os.str("");
+        os << t.pcAt(i) << ',' << *t.pcIdOf(t.pcAt(i)) << ','
+           << t.addressAt(i) << ',' << *t.addrIdOf(t.addressAt(i))
+           << ',' << t.setAt(i) << ',' << t.isMissAt(i)
+           << t.bypassedAt(i) << t.hasVictimAt(i)
+           << t.wrongEvictionAt(i) << ','
+           << static_cast<int>(t.missTypeAt(i)) << ','
+           << t.reuseDistanceAt(i) << ',' << t.recencyAt(i) << ','
+           << t.evictedReuseDistanceAt(i) << ','
+           << t.evictedAddressAt(i) << ',' << t.evictedPcAt(i) << '\n';
+        if (i % 7 == 0) {
+            const AccessRow row = t.row(i);
+            os << row.function_name << '|' << row.function_code << '|'
+               << row.assembly_code << '|' << row.recency_text << '|';
+            for (const PcAddr &p : row.current_cache_lines)
+                os << p.pc << ':' << p.address << ';';
+            os << '|';
+            for (const auto score : row.cache_line_eviction_scores)
+                os << score << ';';
+            os << '|';
+            for (const PcAddr &p : row.recent_access_history)
+                os << p.pc << ':' << p.address << ';';
+            os << '\n';
+        }
+        h = fnv1aExtend(h, os.str());
+    }
+    return h;
+}
+
+std::uint64_t
+databaseDigest(const TraceDatabase &db)
+{
+    std::uint64_t h = kFnv1aBasis;
+    for (const auto &key : db.keys()) {
+        const TraceEntry *entry = db.find(key);
+        h = foldField(h, key);
+        h = foldField(h, entry->workload);
+        h = foldField(h, entry->policy);
+        h = foldField(h, entry->metadata);
+        h = foldField(h, entry->description);
+        h = foldField(h, std::to_string(tableDigest(entry->table)));
+    }
+    return h;
 }
 
 } // namespace cachemind::db

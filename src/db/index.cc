@@ -106,7 +106,7 @@ TraceIndex::TraceIndex(const TraceTable &t)
     chunkify(set_csr, set_store_);
 
     // Build-time unique listings (previously re-sorted per call).
-    unique_pcs_.assign(t.pcs_.begin(), t.pcs_.end());
+    unique_pcs_ = t.pcs_.keys();
     std::sort(unique_pcs_.begin(), unique_pcs_.end());
     unique_sets_.reserve(64);
     for (std::uint32_t s = 0; s < num_sets; ++s) {

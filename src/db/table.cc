@@ -75,36 +75,6 @@ TraceTable::reserve(std::size_t n)
     score_off_.reserve(n + 1);
 }
 
-std::uint32_t
-TraceTable::internPc(std::uint64_t pc)
-{
-    auto [it, inserted] =
-        pc_lookup_.emplace(pc, static_cast<std::uint32_t>(pcs_.size()));
-    if (inserted)
-        pcs_.push_back(pc);
-    return it->second;
-}
-
-std::uint32_t
-TraceTable::internAddr(std::uint64_t addr)
-{
-    auto [it, inserted] = addr_lookup_.emplace(
-        addr, static_cast<std::uint32_t>(addrs_.size()));
-    if (inserted)
-        addrs_.push_back(addr);
-    return it->second;
-}
-
-std::uint32_t
-TraceTable::internLine(std::uint64_t line)
-{
-    auto [it, inserted] = line_lookup_.emplace(
-        line, static_cast<std::uint32_t>(lines_.size()));
-    if (inserted)
-        lines_.push_back(line);
-    return it->second;
-}
-
 namespace {
 
 std::int64_t
@@ -127,8 +97,8 @@ TraceTable::append(const sim::ReplayEvent &ev,
     if (history_len_ == 0 && !history.empty())
         history_len_ = static_cast<std::uint32_t>(history.size());
 
-    pc_id_.push_back(internPc(ev.pc));
-    addr_id_.push_back(internAddr(ev.address));
+    pc_id_.push_back(pcs_.intern(ev.pc));
+    addr_id_.push_back(addrs_.intern(ev.address));
     set_.push_back(ev.set);
 
     std::uint8_t flags = 0;
@@ -147,13 +117,13 @@ TraceTable::append(const sim::ReplayEvent &ev,
     recency_.push_back(toSigned(ev.recency));
     evicted_reuse_.push_back(toSigned(ev.evicted_reuse_distance));
     evicted_line_id_.push_back(
-        ev.has_victim ? internLine(ev.evicted_line) : 0);
-    evicted_pc_id_.push_back(ev.has_victim ? internPc(ev.evicted_pc)
+        ev.has_victim ? lines_.intern(ev.evicted_line) : 0);
+    evicted_pc_id_.push_back(ev.has_victim ? pcs_.intern(ev.evicted_pc)
                                            : 0);
 
     for (const auto &entry : ev.snapshot) {
-        snap_pc_id_.push_back(internPc(entry.pc));
-        snap_line_id_.push_back(internLine(entry.line));
+        snap_pc_id_.push_back(pcs_.intern(entry.pc));
+        snap_line_id_.push_back(lines_.intern(entry.line));
     }
     snap_off_.push_back(static_cast<std::uint32_t>(snap_pc_id_.size()));
 
@@ -165,8 +135,8 @@ TraceTable::append(const sim::ReplayEvent &ev,
 
     std::uint8_t count = 0;
     for (const auto &h : history) {
-        hist_pc_id_.push_back(internPc(h.pc));
-        hist_addr_id_.push_back(internAddr(h.address));
+        hist_pc_id_.push_back(pcs_.intern(h.pc));
+        hist_addr_id_.push_back(addrs_.intern(h.address));
         ++count;
     }
     // Pad so the pool stays fixed-width per row.
@@ -230,7 +200,7 @@ TraceTable::ensureFallbackListings() const
 std::vector<std::uint64_t>
 TraceTable::uniquePcsScan() const
 {
-    std::vector<std::uint64_t> pcs(pcs_.begin(), pcs_.end());
+    std::vector<std::uint64_t> pcs = pcs_.keys();
     std::sort(pcs.begin(), pcs.end());
     return pcs;
 }
@@ -258,31 +228,25 @@ TraceTable::uniqueSetsScan() const
 bool
 TraceTable::containsPc(std::uint64_t pc) const
 {
-    return pc_lookup_.count(pc) > 0;
+    return pcs_.find(pc).has_value();
 }
 
 bool
 TraceTable::containsAddress(std::uint64_t address) const
 {
-    return addr_lookup_.count(address) > 0;
+    return addrs_.find(address).has_value();
 }
 
 std::optional<std::uint32_t>
 TraceTable::pcIdOf(std::uint64_t pc) const
 {
-    const auto it = pc_lookup_.find(pc);
-    if (it == pc_lookup_.end())
-        return std::nullopt;
-    return it->second;
+    return pcs_.find(pc);
 }
 
 std::optional<std::uint32_t>
 TraceTable::addrIdOf(std::uint64_t address) const
 {
-    const auto it = addr_lookup_.find(address);
-    if (it == addr_lookup_.end())
-        return std::nullopt;
-    return it->second;
+    return addrs_.find(address);
 }
 
 std::vector<std::uint32_t>
@@ -328,23 +292,16 @@ TraceTable::filterScan(const std::uint64_t *pc,
                        std::size_t limit) const
 {
     std::vector<std::uint32_t> out;
-    std::uint32_t pc_id = 0, addr_id = 0;
-    if (pc) {
-        const auto it = pc_lookup_.find(*pc);
-        if (it == pc_lookup_.end())
-            return out;
-        pc_id = it->second;
-    }
-    if (address) {
-        const auto it = addr_lookup_.find(*address);
-        if (it == addr_lookup_.end())
-            return out;
-        addr_id = it->second;
-    }
+    const auto pc_id = pc ? pcIdOf(*pc) : std::nullopt;
+    if (pc && !pc_id)
+        return out;
+    const auto addr_id = address ? addrIdOf(*address) : std::nullopt;
+    if (address && !addr_id)
+        return out;
     for (std::size_t i = 0; i < size(); ++i) {
-        if (pc && pc_id_[i] != pc_id)
+        if (pc && pc_id_[i] != *pc_id)
             continue;
-        if (address && addr_id_[i] != addr_id)
+        if (address && addr_id_[i] != *addr_id)
             continue;
         out.push_back(static_cast<std::uint32_t>(i));
         if (limit && out.size() >= limit)

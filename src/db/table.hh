@@ -3,12 +3,12 @@
  * The per-trace "dataframe" of the external database (§4.3).
  *
  * Storage is columnar with interned dictionaries for PCs, addresses,
- * and lines so that a full 12-table database stays within a few
- * hundred megabytes. Row materialisation (AccessRow) renders the
- * source-level string columns (function name/code, disassembly,
- * textual recency) on demand from the workload's symbol table, which
- * keeps identical rows byte-identical — required for exact-match
- * grading in CacheMindBench.
+ * and lines (flat IdMaps, db/id_map.hh) so that a full 12-table
+ * database stays within a few hundred megabytes. Row materialisation
+ * (AccessRow) renders the source-level string columns (function
+ * name/code, disassembly, textual recency) on demand from the
+ * workload's symbol table, which keeps identical rows byte-identical
+ * — required for exact-match grading in CacheMindBench.
  */
 
 #ifndef CACHEMIND_DB_TABLE_HH
@@ -20,10 +20,10 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "db/id_map.hh"
 #include "sim/llc_replay.hh"
 #include "trace/symbols.hh"
 
@@ -238,20 +238,13 @@ class TraceTable
         return (flags_[i] & bit) != 0;
     }
 
-    std::uint32_t internPc(std::uint64_t pc);
-    std::uint32_t internAddr(std::uint64_t addr);
-    std::uint32_t internLine(std::uint64_t line);
-
     const trace::SymbolTable *symbols_ = nullptr;
     std::uint32_t line_bytes_ = 64;
 
-    // Dictionaries.
-    std::vector<std::uint64_t> pcs_;
-    std::vector<std::uint64_t> addrs_;
-    std::vector<std::uint64_t> lines_;
-    std::unordered_map<std::uint64_t, std::uint32_t> pc_lookup_;
-    std::unordered_map<std::uint64_t, std::uint32_t> addr_lookup_;
-    std::unordered_map<std::uint64_t, std::uint32_t> line_lookup_;
+    // Dictionaries (value <-> dense id, first-seen order).
+    IdMap pcs_;
+    IdMap addrs_;
+    IdMap lines_;
 
     // Core columns.
     std::vector<std::uint32_t> pc_id_;

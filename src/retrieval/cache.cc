@@ -77,17 +77,13 @@ RetrievalCache::getOrCompute(const std::string &key,
     if (!enabled())
         return compute();
 
-    // Fast path: lock-free hot probe (plus secondary) before any
-    // single-flight bookkeeping.
-    std::uint64_t evicted = 0;
-    Outcome::Source source = Outcome::Source::None;
-    if (BundlePtr v = lookupTiers(key, &evicted, &source)) {
+    // Fast path: lock-free hot probe before any single-flight
+    // bookkeeping.
+    if (BundlePtr v = hot_.lookup(key)) {
         hits_.fetch_add(1, std::memory_order_relaxed);
-        evictions_.fetch_add(evicted, std::memory_order_relaxed);
         if (outcome) {
             outcome->hit = true;
-            outcome->evictions = evicted;
-            outcome->source = source;
+            outcome->source = Outcome::Source::Hot;
         }
         return v;
     }
@@ -106,9 +102,11 @@ RetrievalCache::getOrCompute(const std::string &key,
         }
         return pending.get();
     }
-    // Re-probe under the flight lock: a flight that finished between
-    // the probe above and here admitted its bundle before erasing its
-    // table entry, so it is visible in the tiers now.
+    // Re-probe under the flight lock. Flights admit before they erase
+    // their table entry, and every tier transfer runs under this
+    // lock, so a resident key is in some tier now.
+    std::uint64_t evicted = 0;
+    Outcome::Source source = Outcome::Source::None;
     if (BundlePtr v = lookupTiers(key, &evicted, &source)) {
         hits_.fetch_add(1, std::memory_order_relaxed);
         evictions_.fetch_add(evicted, std::memory_order_relaxed);
@@ -142,12 +140,17 @@ RetrievalCache::getOrCompute(const std::string &key,
     // Admit before erasing the flight: a lookup that misses the
     // flight table must find the tiers already populated. Degraded
     // (deadline-truncated) bundles are returned to their caller but
-    // never admitted — they would poison every later request.
+    // never admitted — they would poison every later request. Only
+    // with a secondary tier does admission move keys between tiers
+    // (demotions), so only then does it need flight_mu_.
+    if (secondary_)
+        lock.lock();
     evicted = (value && value->degraded) ? 0 : admit(key, value);
-    evictions_.fetch_add(evicted, std::memory_order_relaxed);
-    lock.lock();
+    if (!lock.owns_lock())
+        lock.lock();
     flights_.erase(key);
     lock.unlock();
+    evictions_.fetch_add(evicted, std::memory_order_relaxed);
     promise.set_value(value);
 
     if (outcome)
@@ -163,8 +166,12 @@ RetrievalCache::peek(const std::string &key, Outcome *outcome)
     if (!enabled())
         return nullptr;
     std::uint64_t evicted = 0;
-    Outcome::Source source = Outcome::Source::None;
-    BundlePtr v = lookupTiers(key, &evicted, &source);
+    Outcome::Source source = Outcome::Source::Hot;
+    BundlePtr v = hot_.lookup(key);
+    if (!v && secondary_) {
+        std::lock_guard<std::mutex> lock(flight_mu_);
+        v = lookupTiers(key, &evicted, &source);
+    }
     if (!v) {
         // Absent, or another flight is still assembling it: the
         // streaming caller retrieves on its own rather than waiting.
@@ -191,13 +198,15 @@ RetrievalCache::publish(const std::string &key, BundlePtr value,
         return;
     if (value && value->degraded)
         return; // deadline-truncated evidence must never be shared
-    {
-        std::lock_guard<std::mutex> lock(flight_mu_);
-        if (flights_.count(key))
-            return; // the flight publishes when it lands
-    }
+    std::unique_lock<std::mutex> lock(flight_mu_);
+    if (flights_.count(key))
+        return; // the flight publishes when it lands
+    if (!secondary_)
+        lock.unlock(); // no demotions, so no tier transfer to cover
     // Resident keys dedupe inside the tiers (first copy wins).
     const std::uint64_t evicted = admit(key, std::move(value));
+    if (lock.owns_lock())
+        lock.unlock();
     evictions_.fetch_add(evicted, std::memory_order_relaxed);
     if (outcome)
         outcome->evictions = evicted;

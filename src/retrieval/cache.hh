@@ -147,7 +147,9 @@ class RetrievalCache
      * direction): a stream holding the in-flight claim while pushing
      * chunks into a consumer-paced channel would let a paused
      * consumer block every blocking ask() coalescing on the key, so
-     * streams peek, retrieve on their own, and publish().
+     * streams peek, retrieve on their own, and publish(). A hot miss
+     * with a secondary tier briefly takes the flight mutex, under
+     * which tier transfers run, but never waits on a computation.
      */
     BundlePtr peek(const std::string &key, Outcome *outcome = nullptr);
 
@@ -184,7 +186,7 @@ class RetrievalCache
     /**
      * Probe hot then secondary; a secondary hit re-promotes into the
      * hot tier. Entries evicted out of the cache by the promotion are
-     * added to *evictions.
+     * added to *evictions. Caller holds flight_mu_.
      */
     BundlePtr lookupTiers(const std::string &key,
                           std::uint64_t *evictions,
@@ -194,7 +196,8 @@ class RetrievalCache
      * Admit `value` into the hot tier and demote its victims into the
      * secondary tier. Returns how many entries left the cache
      * entirely (secondary evictions/rejections, or hot victims with
-     * no secondary to land in).
+     * no secondary to land in). With a secondary tier the caller
+     * holds flight_mu_.
      */
     std::uint64_t admit(const std::string &key, BundlePtr value);
 
@@ -206,6 +209,13 @@ class RetrievalCache
      * running. Entries are admitted to the hot tier *before* the
      * flight is erased, so a lookup that misses the table finds the
      * tiers already populated.
+     *
+     * The mutex also covers every tier transfer (admission with its
+     * demotions, secondary hit with its re-promotion). A moving key
+     * is briefly in neither tier; under the lock, the miss path's
+     * re-probe never sees that gap, so a resident key is never
+     * recomputed. Lock-free hot hits stay outside it, and so does
+     * admission when there is no secondary tier to demote into.
      */
     std::mutex flight_mu_;
     std::unordered_map<std::string, std::shared_future<BundlePtr>>

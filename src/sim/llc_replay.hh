@@ -123,7 +123,9 @@ class LlcReplayer
      * Replay `stream`. `oracle` may be null for policies that do not
      * need the future (everything except Belady and the annotation of
      * reuse distances). The callback may be empty when only aggregate
-     * statistics are wanted.
+     * statistics are wanted. One event object is reused for every
+     * access, so the reference `cb` receives is valid only during the
+     * call; copy the event to keep it.
      */
     CacheStats replay(const std::vector<LlcAccess> &stream,
                       const OracleInfo *oracle, const EventCallback &cb,

@@ -3,20 +3,23 @@
  * Tests for the trace database: table storage round-trip, statistics
  * expert, metadata strings, end-to-end building, shard views, the
  * thread safety of the lazy expert and postings-index caches, the
- * index-vs-reference-scan equivalence of filters and listings, and
- * the byte-identical equivalence of the parallel build to the
- * sequential one.
+ * index-vs-reference-scan equivalence of filters and listings, the
+ * flat dictionary against a std::unordered_map reference, the
+ * byte-identical equivalence of the parallel build to the sequential
+ * one, and the build's digest pinned to a recorded value.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <random>
-#include <sstream>
 #include <thread>
+#include <unordered_map>
 
 #include "db/builder.hh"
 #include "db/database.hh"
+#include "db/export.hh"
+#include "db/id_map.hh"
 #include "db/index.hh"
 #include "db/shard.hh"
 #include "db/stats_expert.hh"
@@ -151,6 +154,62 @@ TEST(TraceTableTest, UniquePcsSorted)
     EXPECT_EQ(pcs[1], 0xB00u);
 }
 
+TEST(IdMapTest, MatchesUnorderedMapReferenceThroughGrowth)
+{
+    // Random keys plus the edge cases (0, UINT64_MAX, and multiples
+    // of 2^16, which share every low bit), interned into the flat map
+    // and into a std::unordered_map reference through many doublings.
+    std::mt19937_64 rng(0x1D5EEDull);
+    std::vector<std::uint64_t> keys = {0, ~0ull, 1, ~0ull - 1};
+    for (std::uint64_t k = 1; k <= 512; ++k)
+        keys.push_back(k << 16);
+    for (int k = 0; k < 20000; ++k)
+        keys.push_back(rng() >> (rng() % 64));
+    std::shuffle(keys.begin(), keys.end(), rng);
+    // Repeats interleaved with first sightings.
+    const std::size_t distinct_stream = keys.size();
+    for (std::size_t k = 0; k < distinct_stream; k += 3)
+        keys.insert(keys.begin() + static_cast<std::ptrdiff_t>(k),
+                    keys[rng() % (k + 1)]);
+
+    IdMap ids;
+    EXPECT_FALSE(ids.find(0).has_value());
+    EXPECT_FALSE(ids.find(~0ull).has_value());
+    std::unordered_map<std::uint64_t, std::uint32_t> reference;
+    std::vector<std::uint64_t> first_seen;
+    for (const std::uint64_t key : keys) {
+        const auto [want, fresh] = reference.emplace(
+            key, static_cast<std::uint32_t>(reference.size()));
+        ASSERT_EQ(ids.intern(key), want->second) << key;
+        if (fresh)
+            first_seen.push_back(key);
+        ASSERT_EQ(ids.size(), reference.size());
+    }
+    // Ids are dense and in first-seen order; a repeat intern and a
+    // find both return the same id.
+    for (std::uint32_t id = 0; id < first_seen.size(); ++id) {
+        ASSERT_EQ(ids.find(first_seen[id]), id);
+        ASSERT_EQ(ids.intern(first_seen[id]), id);
+        ASSERT_EQ(ids[id], first_seen[id]);
+    }
+    EXPECT_EQ(ids.size(), first_seen.size());
+    EXPECT_EQ(ids.keys(), first_seen);
+    // Absent keys: random ones, and multiples of 2^16 that share
+    // every low bit with the present ones.
+    std::vector<std::uint64_t> probes;
+    for (std::uint64_t k = 513; k <= 2048; ++k)
+        probes.push_back(k << 16);
+    for (int k = 0; k < 2000; ++k)
+        probes.push_back(rng());
+    for (const std::uint64_t probe : probes) {
+        const auto it = reference.find(probe);
+        if (it == reference.end())
+            EXPECT_FALSE(ids.find(probe).has_value()) << probe;
+        else
+            EXPECT_EQ(ids.find(probe), it->second) << probe;
+    }
+}
+
 TEST(StatsExpertTest, PcAggregates)
 {
     const auto t = makeTinyTable();
@@ -283,38 +342,6 @@ TEST(StatsExpertTest, TopPcsOrdering)
     EXPECT_GE(top[0].misses, top[1].misses);
     EXPECT_GE(top[1].misses, top[2].misses);
 }
-
-namespace {
-
-/**
- * Deterministic digest of every columnar field plus a sample of fully
- * materialised rows (string columns included) — byte-identical tables
- * produce byte-identical digests.
- */
-std::string
-tableFingerprint(const TraceTable &t)
-{
-    std::ostringstream os;
-    for (std::size_t i = 0; i < t.size(); ++i) {
-        os << t.pcAt(i) << ',' << t.addressAt(i) << ',' << t.setAt(i)
-           << ',' << t.isMissAt(i) << t.bypassedAt(i)
-           << t.hasVictimAt(i) << t.wrongEvictionAt(i) << ','
-           << static_cast<int>(t.missTypeAt(i)) << ','
-           << t.reuseDistanceAt(i) << ',' << t.recencyAt(i) << ','
-           << t.evictedReuseDistanceAt(i) << ','
-           << t.evictedAddressAt(i) << ',' << t.evictedPcAt(i) << '\n';
-        if (i % 97 == 0) {
-            const auto row = t.row(i);
-            os << row.function_name << '|' << row.recency_text << '|'
-               << row.recent_access_history.size() << '|'
-               << row.current_cache_lines.size() << '|'
-               << row.cache_line_eviction_scores.size() << '\n';
-        }
-    }
-    return os.str();
-}
-
-} // namespace
 
 TEST(DatabaseTest, StatsForIsThreadSafeOnOverlappingKeys)
 {
@@ -603,7 +630,11 @@ TEST(TraceIndexTest, LazyBuildIsThreadSafeAndStable)
     EXPECT_GT(totals.rows_skipped, 0u);
 }
 
-TEST(BuilderTest, ParallelBuildIsByteIdenticalAcrossThreadCounts)
+namespace {
+
+/** Two workloads x three policies, short traces: the identity build. */
+BuildOptions
+identityBuildOptions()
 {
     BuildOptions opts;
     opts.workloads = {trace::WorkloadKind::Microbench,
@@ -612,7 +643,14 @@ TEST(BuilderTest, ParallelBuildIsByteIdenticalAcrossThreadCounts)
                      policy::PolicyKind::Belady,
                      policy::PolicyKind::Parrot};
     opts.accesses_override = 20000;
+    return opts;
+}
 
+} // namespace
+
+TEST(BuilderTest, ParallelBuildIsByteIdenticalAcrossThreadCounts)
+{
+    BuildOptions opts = identityBuildOptions();
     opts.build_threads = 1;
     const auto reference = buildDatabase(opts);
     const auto ref_keys = reference.keys();
@@ -632,11 +670,26 @@ TEST(BuilderTest, ParallelBuildIsByteIdenticalAcrossThreadCounts)
             EXPECT_EQ(a->metadata, b->metadata) << key;
             EXPECT_EQ(a->description, b->description) << key;
             ASSERT_EQ(a->table.size(), b->table.size()) << key;
-            EXPECT_EQ(tableFingerprint(a->table),
-                      tableFingerprint(b->table))
+            EXPECT_EQ(tableDigest(a->table), tableDigest(b->table))
                 << key << " threads=" << threads;
         }
     }
+}
+
+TEST(BuilderTest, BuildMatchesPinnedDigest)
+{
+    // The identity build, digested over every column, both dictionary
+    // ids of every row and every 7th materialised row. The constant
+    // was recorded from the build before interning moved to flat
+    // open-addressed dictionaries and replay stopped allocating per
+    // event; it moves if the build emits different ids, values or
+    // strings.
+    constexpr std::uint64_t kPinnedDigest = 0x8a7f0a1ff83c556cULL;
+    BuildOptions opts = identityBuildOptions();
+    opts.build_threads = 2;
+    const auto db = buildDatabase(opts);
+    EXPECT_EQ(databaseDigest(db), kPinnedDigest)
+        << "digest 0x" << std::hex << databaseDigest(db);
 }
 
 TEST(ShardTest, WarmIndexesMatchesLazyBuildAndIsIdempotent)

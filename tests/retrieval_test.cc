@@ -713,6 +713,58 @@ TEST(RetrievalCacheTest, TieredChurnHammerStaysByteIdentical)
     EXPECT_GT(cache.counters().evictions, 0u);
 }
 
+TEST(RetrievalCacheTest, TierTransfersNeverRecomputeAResidentKey)
+{
+    // 4 workers sweep 16 keys in their own orders through a 2-entry
+    // hot tier over a secondary roomy enough to lose nothing, so
+    // nearly every lookup moves a key between tiers (a promotion, and
+    // the demotion it forces). A key in mid-transfer is in neither
+    // tier for a moment; a miss path that re-probed in that gap would
+    // recompute a resident key. Nothing ever leaves the cache, so
+    // each key must be computed exactly once.
+    RetrievalCache::Options options;
+    options.capacity = 2;
+    options.secondary_capacity_bytes = 1u << 20;
+    RetrievalCache cache(options);
+    constexpr int kThreads = 4;
+    constexpr int kRounds = 300;
+    constexpr int kKeys = 16;
+    std::atomic<int> computes{0};
+    std::atomic<int> mismatches{0};
+    std::vector<std::thread> pool;
+    pool.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+        pool.emplace_back([&, t] {
+            Rng rng(0x7E57ull + static_cast<std::uint64_t>(t));
+            std::vector<std::string> keys;
+            for (int k = 0; k < kKeys; ++k)
+                keys.push_back("key-" + std::to_string(k));
+            for (int round = 0; round < kRounds; ++round) {
+                for (int k = kKeys - 1; k > 0; --k)
+                    std::swap(keys[k], keys[rng.nextBelow(k + 1)]);
+                for (const std::string &key : keys) {
+                    const auto bundle = cache.getOrCompute(key, [&] {
+                        computes.fetch_add(1);
+                        return taggedBundle(key);
+                    });
+                    if (!bundle || bundle->result_text != key)
+                        mismatches.fetch_add(1);
+                }
+            }
+        });
+    }
+    for (auto &t : pool)
+        t.join();
+    EXPECT_EQ(mismatches.load(), 0);
+    EXPECT_EQ(computes.load(), kKeys);
+    const auto counters = cache.counters();
+    EXPECT_EQ(counters.misses, static_cast<std::uint64_t>(kKeys));
+    EXPECT_EQ(counters.evictions, 0u);
+    const auto tiers = cache.tiered();
+    EXPECT_GT(tiers.demotions, 0u);
+    EXPECT_GT(tiers.promotions, 0u);
+}
+
 // ------------------------------------------------- bundle codec
 
 namespace {
