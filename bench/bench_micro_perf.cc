@@ -6,8 +6,8 @@
  * interpreter, cold-question retrieval over the postings index vs the
  * reference scan, the per-shard index build itself, and the serving
  * pipeline's cross-question retrieval cache (repeated-slot askBatch,
- * cache on vs off). These back the Figure 9 latency ordering with
- * statistically sound timings.
+ * cache on vs off), and CacheMindBench suite generation. These back
+ * the Figure 9 latency ordering with statistically sound timings.
  *
  * The binary emits the machine-readable perf trajectory
  * `BENCH_micro_perf.json` by default (cold vs cached retrieval
@@ -32,6 +32,7 @@
 
 #include "base/random.hh"
 #include "base/str.hh"
+#include "benchsuite/generator.hh"
 #include "core/cachemind.hh"
 #include "obs/trace.hh"
 #include "obs/trace_export.hh"
@@ -959,6 +960,28 @@ BENCHMARK(BM_AskTracedOverhead)
     ->Arg(1)  // sampled: every 64th request traced
     ->Arg(2)  // every request traced (writes TRACE_sample.json)
     ->Unit(benchmark::kMicrosecond);
+
+static void
+BM_GenerateSuite(benchmark::State &state)
+{
+    // One CacheMindBench suite on the default database, the set-up
+    // every evaluation sweep pays before its first question. Stats
+    // experts and postings indexes are one-time lazy builds, paid
+    // off the clock so the loop times generation alone.
+    static const auto database = [] {
+        db::BuildOptions options;
+        options.build_threads = 0;
+        return db::buildDatabase(options);
+    }();
+    const db::ShardSet shards(database);
+    shards.warmIndexes();
+    for (const auto &key : shards.keys())
+        shards.statsFor(key);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(
+            benchsuite::BenchGenerator(shards).generate());
+}
+BENCHMARK(BM_GenerateSuite)->Unit(benchmark::kMillisecond);
 
 int
 main(int argc, char **argv)

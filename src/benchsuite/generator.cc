@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <set>
 #include <sstream>
+#include <tuple>
 
 #include "base/logging.hh"
 #include "base/random.hh"
@@ -118,7 +119,7 @@ BenchGenerator::makeMissRate(std::size_t n, std::size_t) const
         const auto &key = keys[rng.nextBelow(keys.size())];
         const auto *entry = db_.find(key);
         const auto *expert = db_.statsFor(key);
-        const auto pcs = entry->table.uniquePcs();
+        const auto &pcs = entry->table.uniquePcs();
         if (pcs.empty())
             continue;
         const std::uint64_t pc = pcs[rng.nextBelow(pcs.size())];
@@ -147,10 +148,23 @@ std::vector<Question>
 BenchGenerator::makePolicyComparison(std::size_t n, std::size_t) const
 {
     std::vector<Question> out;
-    std::set<std::string> used;
+    // The text is injective in (workload, lowest, per_pc, pc), so
+    // deduplicating the tuple deduplicates the questions without
+    // formatting the ones that would be rejected.
+    std::set<std::tuple<std::size_t, bool, bool, std::uint64_t>> used;
     Rng rng(hashCombine(seed_, 0x33));
     const auto workloads = db_.workloads();
     const auto policies = db_.policies();
+    // Resolve every shard the loop reads once, not per candidate.
+    std::vector<const db::TraceEntry *> firsts;
+    std::vector<const db::StatsExpert *> experts;
+    for (const auto &workload : workloads) {
+        firsts.push_back(db_.find(workload, policies[0]));
+        for (const auto &policy : policies)
+            experts.push_back(db_.statsFor(db::shardKey(workload, policy)));
+    }
+    // (policy index, miss rate), reused across candidates.
+    std::vector<std::pair<std::size_t, double>> rates;
     std::size_t guard = 0;
     const std::size_t guard_limit = n * 6000;
     while (out.size() < n && guard++ < guard_limit) {
@@ -160,46 +174,40 @@ BenchGenerator::makePolicyComparison(std::size_t n, std::size_t) const
                               : guard < 2 * guard_limit / 3
                                   ? 0.002
                                   : 1e-9;
-        const auto &workload =
-            workloads[rng.nextBelow(workloads.size())];
+        const std::size_t w = rng.nextBelow(workloads.size());
         const bool per_pc = rng.nextBool(0.7);
         const bool lowest = rng.nextBool(0.6);
+        const auto *const *workload_experts =
+            &experts[w * policies.size()];
 
-        std::vector<std::pair<std::string, double>> rates;
+        rates.clear();
         std::uint64_t pc = 0;
         if (per_pc) {
             // A PC present under every policy of the workload.
-            const auto *first =
-                db_.find(workload, policies[0]);
-            if (!first)
+            if (!firsts[w])
                 continue;
-            const auto pcs = first->table.uniquePcs();
+            const auto &pcs = firsts[w]->table.uniquePcs();
             pc = pcs[rng.nextBelow(pcs.size())];
             bool ok = true;
-            for (const auto &policy : policies) {
-                const auto *expert = db_.statsFor(
-                    db::shardKey(workload, policy));
-                if (!expert) {
+            for (std::size_t p = 0; p < policies.size(); ++p) {
+                if (!workload_experts[p]) {
                     ok = false;
                     break;
                 }
-                const auto stats = expert->pcStats(pc);
+                const auto stats = workload_experts[p]->pcStats(pc);
                 if (!stats || stats->accesses < 30) {
                     ok = false;
                     break;
                 }
-                rates.emplace_back(policy, stats->missRate());
+                rates.emplace_back(p, stats->missRate());
             }
             if (!ok)
                 continue;
         } else {
-            for (const auto &policy : policies) {
-                const auto *expert = db_.statsFor(
-                    db::shardKey(workload, policy));
-                if (!expert)
-                    continue;
-                rates.emplace_back(policy,
-                                   expert->summary().missRate());
+            for (std::size_t p = 0; p < policies.size(); ++p) {
+                if (workload_experts[p])
+                    rates.emplace_back(
+                        p, workload_experts[p]->summary().missRate());
             }
             if (rates.size() < 2)
                 continue;
@@ -218,6 +226,9 @@ BenchGenerator::makePolicyComparison(std::size_t n, std::size_t) const
                 continue;
             }
         }
+        if (!used.emplace(w, lowest, per_pc, pc).second)
+            continue;
+        const auto &workload = workloads[w];
         Question q;
         q.category = Category::PolicyComparison;
         q.trace_key = db::shardKey(workload, "lru");
@@ -228,10 +239,8 @@ BenchGenerator::makePolicyComparison(std::size_t n, std::size_t) const
             os << "for PC " << str::hex(pc) << " ";
         os << "in the " << workload << " workload?";
         q.text = os.str();
-        if (!used.insert(q.text).second)
-            continue;
         q.gold.policy =
-            lowest ? rates.front().first : rates.back().first;
+            policies[lowest ? rates.front().first : rates.back().first];
         out.push_back(std::move(q));
     }
     CM_ASSERT(out.size() == n,
@@ -251,7 +260,7 @@ BenchGenerator::makeCount(std::size_t n, std::size_t) const
         const auto &key = keys[rng.nextBelow(keys.size())];
         const auto *entry = db_.find(key);
         const auto *expert = db_.statsFor(key);
-        const auto pcs = entry->table.uniquePcs();
+        const auto &pcs = entry->table.uniquePcs();
         if (pcs.empty())
             continue;
         const std::uint64_t pc = pcs[rng.nextBelow(pcs.size())];
@@ -289,7 +298,7 @@ BenchGenerator::makeArithmetic(std::size_t n, std::size_t) const
         const auto &key = keys[rng.nextBelow(keys.size())];
         const auto *entry = db_.find(key);
         const auto *expert = db_.statsFor(key);
-        const auto pcs = entry->table.uniquePcs();
+        const auto &pcs = entry->table.uniquePcs();
         if (pcs.empty())
             continue;
         const std::uint64_t pc = pcs[rng.nextBelow(pcs.size())];
@@ -428,7 +437,7 @@ BenchGenerator::makeTrick(std::size_t n, std::size_t) const
             const auto *entry_b = db_.find(wb, policy);
             if (!entry_b)
                 continue;
-            const auto pcs_b = entry_b->table.uniquePcs();
+            const auto &pcs_b = entry_b->table.uniquePcs();
             std::uint64_t foreign = 0;
             for (const auto pc : pcs_b) {
                 if (!entry_a->table.containsPc(pc)) {
@@ -452,7 +461,7 @@ BenchGenerator::makeTrick(std::size_t n, std::size_t) const
         } else {
             // PC and address both present, never together.
             const auto &table = entry_a->table;
-            const auto pcs = table.uniquePcs();
+            const auto &pcs = table.uniquePcs();
             const std::uint64_t pc = pcs[rng.nextBelow(pcs.size())];
             const std::size_t i = rng.nextBelow(table.size());
             const std::uint64_t addr = table.addressAt(i);
@@ -570,7 +579,7 @@ BenchGenerator::makePolicyAnalysis(std::size_t n, std::size_t) const
         if (!belady_exp || !lru_exp)
             continue;
         const auto *entry = db_.find(workload, "lru");
-        const auto pcs = entry->table.uniquePcs();
+        const auto &pcs = entry->table.uniquePcs();
         const std::uint64_t pc = pcs[rng.nextBelow(pcs.size())];
         const auto bs = belady_exp->pcStats(pc);
         const auto ls = lru_exp->pcStats(pc);
@@ -671,7 +680,7 @@ BenchGenerator::makeSemanticAnalysis(std::size_t n, std::size_t) const
         const trace::SymbolTable *symbols = entry->table.symbols();
         if (!symbols)
             continue;
-        const auto pcs = entry->table.uniquePcs();
+        const auto &pcs = entry->table.uniquePcs();
         const std::uint64_t pc = pcs[rng.nextBelow(pcs.size())];
         const auto stats = expert->pcStats(pc);
         if (!stats || stats->accesses < 200)
