@@ -72,7 +72,8 @@ main()
     // backends): engines with identical retriever fingerprints share
     // their evidence, so only the first backend pays retrieval.
     auto shared_cache =
-        std::make_shared<retrieval::RetrievalCache>(1 << 14);
+        std::make_shared<retrieval::RetrievalCache>(
+            retrieval::RetrievalCache::Options{1 << 14});
 
     std::printf("\n=== Figure 5: accuracy vs retrieval-context quality "
                 "===\n");

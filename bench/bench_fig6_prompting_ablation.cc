@@ -52,7 +52,8 @@ main()
     // retrieval, so every engine after the first serves its evidence
     // from the shared cache.
     auto shared_cache =
-        std::make_shared<retrieval::RetrievalCache>(1 << 14);
+        std::make_shared<retrieval::RetrievalCache>(
+            retrieval::RetrievalCache::Options{1 << 14});
 
     std::printf("\n=== Prompting ablation (weighted total / trick "
                 "accuracy) ===\n");

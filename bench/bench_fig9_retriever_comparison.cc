@@ -167,7 +167,8 @@ main()
         for (std::size_t i = 0; i < streamed_queries; ++i) {
             Stopwatch timer;
             auto stream =
-                engine.askStream(queries[i].text).expect("askStream");
+                engine.askStream(core::RequestContext(queries[i].text))
+                    .expect("askStream");
             bool first = true;
             while (auto event = stream.next()) {
                 if (first) {

@@ -407,11 +407,11 @@ fullDb()
     return database;
 }
 
-std::vector<std::string>
+std::vector<core::RequestContext>
 coldUniqueQuestions()
 {
     const auto &database = fullDb();
-    std::vector<std::string> questions;
+    std::vector<core::RequestContext> questions;
     for (const auto &key : database.keys()) {
         const auto *entry = database.find(key);
         const auto &pcs = entry->table.uniquePcsScan();
@@ -425,20 +425,20 @@ coldUniqueQuestions()
                                       entry->policy + "?";
             switch (k % 4) {
               case 0:
-                questions.push_back(
+                questions.emplace_back(
                     "What is the miss rate for PC " + pc + where);
                 break;
               case 1:
-                questions.push_back("How many times did PC " + pc +
-                                    " appear" + where);
+                questions.emplace_back("How many times did PC " + pc +
+                                       " appear" + where);
                 break;
               case 2:
-                questions.push_back(
+                questions.emplace_back(
                     "What is the average reuse distance of PC " + pc +
                     where);
                 break;
               default:
-                questions.push_back(
+                questions.emplace_back(
                     "What is the standard deviation of the reuse "
                     "distance of PC " + pc + where);
                 break;
@@ -521,12 +521,12 @@ namespace {
  * overlapping-users pattern of the paper's serving story). With the
  * cross-question cache on, slot-equal questions share one retrieval.
  */
-std::vector<std::string>
+std::vector<core::RequestContext>
 repeatedSlotQuestions()
 {
     const auto &database = microDb();
     const auto *entry = database.find("mcf_evictions_lru");
-    std::vector<std::string> questions;
+    std::vector<core::RequestContext> questions;
     for (std::size_t slot = 0; slot < 8; ++slot) {
         const std::string pc =
             str::hex(entry->table.pcAt(slot * 64));
@@ -536,8 +536,8 @@ repeatedSlotQuestions()
                               "miss rate does PC " +
                               pc + " have?";
         for (int rep = 0; rep < 4; ++rep) {
-            questions.push_back(a);
-            questions.push_back(b);
+            questions.emplace_back(a);
+            questions.emplace_back(b);
         }
     }
     return questions;
@@ -629,8 +629,8 @@ BM_AskStreamFirstEvent(benchmark::State &state)
     for (auto _ : state) {
         const auto &question = questions[qi++ % questions.size()];
         if (streamed) {
-            auto stream =
-                engine.askStream(question).expect("askStream");
+            auto stream = engine.askStream(core::RequestContext(question))
+                              .expect("askStream");
             while (auto event = stream.next()) {
                 if (event->kind ==
                     core::StreamEvent::Kind::EvidenceChunk) {
@@ -644,7 +644,8 @@ BM_AskStreamFirstEvent(benchmark::State &state)
             }
             state.ResumeTiming();
         } else {
-            benchmark::DoNotOptimize(engine.ask(question));
+            benchmark::DoNotOptimize(
+                engine.ask(core::RequestContext(question)));
         }
     }
     state.SetItemsProcessed(
@@ -928,8 +929,8 @@ BM_AskTracedOverhead(benchmark::State &state)
     const std::string question =
         "What is the miss rate for PC 0x4037aa in the mcf workload "
         "with LRU?";
-    benchmark::DoNotOptimize(
-        engine.ask(question)); // warm the retrieval cache
+    // Warm the retrieval cache.
+    benchmark::DoNotOptimize(engine.ask(core::RequestContext(question)));
     std::shared_ptr<obs::RequestTrace> last;
     std::uint64_t seq = 0;
     std::uint64_t traced = 0;

@@ -36,8 +36,9 @@ main()
                       .expect("building the discovery engine");
     const auto discovery =
         engine
-            .ask("Identify PCs suitable for bypassing to improve IPC "
-                 "in the mcf workload under Belady.")
+            .ask(core::RequestContext(
+                "Identify PCs suitable for bypassing to improve IPC "
+                "in the mcf workload under Belady."))
             .expect("discovery question");
     std::printf("\nQ: Identify PCs suitable for bypassing to improve "
                 "IPC in the mcf workload under Belady.\nA: %s\n\n",

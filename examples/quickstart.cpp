@@ -49,16 +49,18 @@ main()
 
     // 3. Ask questions. Every answer is grounded in retrieved rows,
     //    statistics, and metadata from the database.
-    const std::vector<std::string> questions = {
-        "What is the miss rate for PC 0x4037aa in the mcf workload "
-        "with LRU?",
-        "Which policy has the lowest miss rate in the mcf workload?",
-        "Why does Belady outperform LRU on PC 0x4037ba in the mcf "
-        "workload?",
+    //    A RequestContext carries the question plus its per-call knobs.
+    const std::vector<core::RequestContext> requests = {
+        core::RequestContext("What is the miss rate for PC 0x4037aa in "
+                             "the mcf workload with LRU?"),
+        core::RequestContext("Which policy has the lowest miss rate in "
+                             "the mcf workload?"),
+        core::RequestContext("Why does Belady outperform LRU on PC "
+                             "0x4037ba in the mcf workload?"),
     };
-    for (const auto &question : questions) {
-        std::printf("\nQ: %s\n", question.c_str());
-        auto result = engine.ask(question);
+    for (const auto &request : requests) {
+        std::printf("\nQ: %s\n", request.question.c_str());
+        auto result = engine.ask(request);
         if (!result.ok()) {
             std::printf("error: %s\n",
                         core::errorMessage(result.error()).c_str());
@@ -74,7 +76,7 @@ main()
 
     // 4. The same questions as one concurrent batch: answers are
     //    byte-identical to the sequential loop and keep their order.
-    const auto batch = engine.askBatch(questions)
+    const auto batch = engine.askBatch(requests)
                            .expect("batched ask over the demo questions");
     std::printf("\n=== askBatch (%zu questions, up to %zu workers) "
                 "===\n",
@@ -104,7 +106,7 @@ main()
     //    traced()) a per-stage span tree. The answer is byte-
     //    identical to the untraced ask — tracing never changes
     //    results, only records where the time went.
-    core::RequestContext ctx(questions[0]);
+    core::RequestContext ctx(requests[0].question);
     ctx.withRequestId("quickstart-1").traced();
     const auto traced = engine.ask(ctx).expect("traced ask");
     std::printf("\n=== traced ask (request_id=quickstart-1) ===\n");

@@ -119,15 +119,15 @@ EvalHarness::evaluate(retrieval::Retriever &retriever,
 EvalResult
 EvalHarness::evaluate(core::CacheMind &engine) const
 {
-    std::vector<std::string> texts;
-    texts.reserve(suite_.size());
+    std::vector<core::RequestContext> requests;
+    requests.reserve(suite_.size());
     for (const auto &q : suite_)
-        texts.push_back(q.text);
+        requests.emplace_back(q.text);
 
     // A malformed suite (e.g. a blank question in a user-supplied
     // vector) is a user error: exit with the typed message rather
     // than aborting.
-    auto batch = engine.askBatch(texts);
+    auto batch = engine.askBatch(requests);
     if (!batch.ok()) {
         CM_FATAL("askBatch failed over the question suite: ",
                  core::errorMessage(batch.error()));

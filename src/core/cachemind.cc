@@ -113,7 +113,8 @@ CacheMind::CacheMind(const db::TraceDatabase &db, db::ShardSet shards,
                                       .retrieval_cache_secondary_bytes})
                         : nullptr)),
       stats_(std::make_unique<EngineStatsRecorder>()),
-      batch_pool_(std::make_unique<BatchPool>())
+      batch_pool_(std::make_unique<BatchPool>()),
+      pool_(std::make_unique<WorkerPool>(opts_.batch_workers))
 {
 }
 
@@ -601,18 +602,6 @@ CacheMind::ask(const RequestContext &ctx)
 }
 
 Result<Response, EngineError>
-CacheMind::ask(const std::string &question)
-{
-    return ask(RequestContext(question));
-}
-
-Result<Response, EngineError>
-CacheMind::ask(const std::string &question, const AskOptions &ask_opts)
-{
-    return ask(RequestContext(question, ask_opts));
-}
-
-Result<Response, EngineError>
 CacheMind::askParsed(const query::ParsedQuery &parsed,
                      const RequestContext &ctx)
 {
@@ -632,12 +621,6 @@ CacheMind::askParsed(const query::ParsedQuery &parsed,
     stats_->record(timer.milliseconds(),
                    retrieval::assessQuality(r.bundle));
     return r;
-}
-
-Result<Response, EngineError>
-CacheMind::askParsed(const query::ParsedQuery &parsed)
-{
-    return askParsed(parsed, RequestContext{});
 }
 
 void
@@ -708,67 +691,46 @@ CacheMind::askBatch(const std::vector<RequestContext> &requests)
     std::vector<Response> responses(requests.size());
     std::vector<double> latencies(requests.size(), 0.0);
     const std::size_t workers =
-        std::min(std::max<std::size_t>(opts_.batch_workers, 1),
+        std::min(opts_.batch_workers,
                  std::max<std::size_t>(requests.size(), 1));
 
-    if (workers <= 1) {
-        for (std::size_t i = 0; i < requests.size(); ++i) {
-            Stopwatch timer;
-            responses[i] = answer_one(*retriever_, requests[i]);
-            latencies[i] = timer.milliseconds();
+    // One retriever per worker: retrievers are not required to be
+    // thread-safe, and every retrieval/generation draw is keyed by
+    // the question text alone, so the answers are byte-identical to a
+    // sequential ask() loop regardless of how questions land on
+    // workers. The cross-question cache is shared by all workers
+    // (identically configured retrievers assemble identical bundles
+    // for equal keys, so which worker populates an entry cannot
+    // change any answer), and a hot slot key retrieves once:
+    // concurrent misses coalesce onto the first in-flight retrieval.
+    // Worker 0 is the calling thread with the engine's primary
+    // retriever; the extra workers are pool jobs drawing on the
+    // lazily built, batch-to-batch reusable retriever pool. With one
+    // worker forEach runs the claim loop inline.
+    ensureBatchPool(workers);
+    auto &extras = batch_pool_->retrievers;
+    std::atomic<std::size_t> next{0};
+    std::atomic<bool> failed{false};
+    // A throwing pipeline (custom retriever, bad_alloc) stops every
+    // worker's claims; forEach rethrows the first exception once all
+    // workers have returned, like a sequential ask() loop would.
+    pool_->forEach(workers, [&](std::size_t w) {
+        retrieval::Retriever &worker_retriever =
+            w == 0 ? *retriever_ : *extras[w - 1];
+        try {
+            while (!failed.load(std::memory_order_relaxed)) {
+                const std::size_t i = next.fetch_add(1);
+                if (i >= requests.size())
+                    break;
+                Stopwatch timer;
+                responses[i] = answer_one(worker_retriever, requests[i]);
+                latencies[i] = timer.milliseconds();
+            }
+        } catch (...) {
+            failed.store(true, std::memory_order_relaxed);
+            throw;
         }
-    } else {
-        // One retriever per worker: retrievers are not required to be
-        // thread-safe, and every retrieval/generation draw is keyed
-        // by the question text alone, so the answers are
-        // byte-identical to a sequential ask() loop regardless of how
-        // questions land on workers. The cross-question cache is
-        // shared by all workers (identically configured retrievers
-        // assemble identical bundles for equal keys, so which worker
-        // populates an entry cannot change any answer), and a hot
-        // slot key retrieves once: concurrent misses coalesce onto
-        // the first in-flight retrieval. Worker 0 reuses the engine's
-        // primary retriever; the extra workers draw on the lazily
-        // built, batch-to-batch reusable pool.
-        ensureBatchPool(workers);
-        auto &extras = batch_pool_->retrievers;
-
-        std::atomic<std::size_t> next{0};
-        // Exception barrier: a throwing pipeline (custom retriever,
-        // bad_alloc) must propagate to the caller like a sequential
-        // ask() loop, not escape a thread body into std::terminate.
-        std::exception_ptr error;
-        std::mutex error_mu;
-        std::atomic<bool> failed{false};
-        std::vector<std::thread> pool;
-        pool.reserve(workers);
-        for (std::size_t w = 0; w < workers; ++w) {
-            pool.emplace_back([&, w] {
-                retrieval::Retriever &worker_retriever =
-                    w == 0 ? *retriever_ : *extras[w - 1];
-                try {
-                    while (!failed.load(std::memory_order_relaxed)) {
-                        const std::size_t i = next.fetch_add(1);
-                        if (i >= requests.size())
-                            break;
-                        Stopwatch timer;
-                        responses[i] =
-                            answer_one(worker_retriever, requests[i]);
-                        latencies[i] = timer.milliseconds();
-                    }
-                } catch (...) {
-                    std::lock_guard<std::mutex> lock(error_mu);
-                    if (!error)
-                        error = std::current_exception();
-                    failed.store(true, std::memory_order_relaxed);
-                }
-            });
-        }
-        for (auto &t : pool)
-            t.join();
-        if (error)
-            std::rethrow_exception(error);
-    }
+    });
 
     for (std::size_t i = 0; i < requests.size(); ++i) {
         stats_->record(latencies[i],
@@ -776,29 +738,6 @@ CacheMind::askBatch(const std::vector<RequestContext> &requests)
     }
     stats_->recordBatch();
     return responses;
-}
-
-Result<std::vector<Response>, EngineError>
-CacheMind::askBatch(const std::vector<std::string> &questions)
-{
-    std::vector<RequestContext> requests;
-    requests.reserve(questions.size());
-    for (const std::string &q : questions)
-        requests.emplace_back(q);
-    return askBatch(requests);
-}
-
-Result<AnswerStream, EngineError>
-CacheMind::askStream(const std::string &question)
-{
-    return askStream(RequestContext(question));
-}
-
-Result<AnswerStream, EngineError>
-CacheMind::askStream(const std::string &question,
-                     const AskOptions &ask_opts)
-{
-    return askStream(RequestContext(question, ask_opts));
 }
 
 Result<AnswerStream, EngineError>
@@ -810,11 +749,8 @@ CacheMind::askStream(const RequestContext &ctx)
     }
     // The pipeline runs as a job on the engine's persistent worker
     // pool — a warm thread parked on a condvar picks it up in the
-    // microsecond range, where the former per-call std::thread spawn
-    // paid thread-creation cost on every request. Lazy creation keeps
-    // blocking-only engines threadless.
-    if (!stream_pool_)
-        stream_pool_ = std::make_unique<WorkerPool>(opts_.build_threads);
+    // microsecond range, where a per-call std::thread spawn would pay
+    // thread-creation cost on every request.
     auto channel =
         std::make_shared<StreamChannel>(opts_.stream_buffer);
     channel->setProducers(1);
@@ -823,7 +759,7 @@ CacheMind::askStream(const RequestContext &ctx)
     // workers spends the request's budget, exactly as a serving
     // front-end would account it.
     const Deadline deadline = resolveDeadline(ctx.options.deadline_ms);
-    stream_pool_->submit([this, channel, ticket, ctx, deadline] {
+    pool_->submit([this, channel, ticket, ctx, deadline] {
         // Warm every shard's postings index in parallel before the
         // pipeline touches its shard, so the first evidence chunk
         // never waits behind a serial lazy index build (no-op once
@@ -902,77 +838,68 @@ CacheMind::askBatchStream(const std::vector<std::string> &questions,
     std::vector<Response> responses(questions.size());
     std::vector<double> latencies(questions.size(), 0.0);
     const std::size_t workers =
-        std::min(std::max<std::size_t>(opts_.batch_workers, 1),
+        std::min(opts_.batch_workers,
                  std::max<std::size_t>(questions.size(), 1));
-    if (workers > 1)
-        ensureBatchPool(workers);
+    ensureBatchPool(workers);
     auto &extras = batch_pool_->retrievers;
 
     // The channel is the MPSC fan-in: every worker produces events,
     // the calling thread is the single consumer, invoking the sink
-    // serially between launching the pool and joining it. Events of
+    // serially until the last producer closes the channel. Events of
     // one question arrive in pipeline order because exactly one
     // worker answers it and push preserves per-producer order.
     StreamChannel channel(opts_.stream_buffer);
     channel.setProducers(workers);
     std::atomic<std::size_t> next{0};
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-        pool.emplace_back([&, w] {
-            retrieval::Retriever &worker_retriever =
-                w == 0 ? *retriever_ : *extras[w - 1];
-            // Claim loop with a cancellation check: once the consumer
-            // cancels (throwing sink) or a sibling worker fails,
-            // workers finish only their in-flight question instead of
-            // answering the rest of the batch nobody will read. The
-            // exception barrier mirrors askStream's: a throwing
-            // pipeline fails the channel (rethrown by the caller
-            // after the join) rather than std::terminate-ing.
+    // Index 0 is the caller's drain loop; 1..W are the producer jobs.
+    // A throwing sink cancels the stream (producers finish their
+    // in-flight question — pushes now drop, claims stop), and forEach
+    // rethrows it once every producer has returned.
+    pool_->forEach(workers + 1, [&](std::size_t w) {
+        if (w == 0) {
             try {
-                while (!channel.cancelled() && !channel.error()) {
-                    const std::size_t i = next.fetch_add(1);
-                    if (i >= questions.size())
-                        break;
-                    Stopwatch timer;
-                    double blocked_ms = 0.0;
-                    responses[i] = answerParsedStreamed(
-                        worker_retriever, parseStage(questions[i]), i,
-                        channel, &blocked_ms, resolveDeadline(0.0));
-                    // Serving latency only (see askStream).
-                    latencies[i] = std::max(
-                        timer.milliseconds() - blocked_ms, 0.0);
-                }
-            } catch (const retrieval::StreamCancelled &) {
-                // Consumer-side cancel (throwing sink) tripped the
-                // cooperative token mid-question: quiet retirement,
-                // not a pipeline failure — failing the channel here
-                // would masquerade as an engine error after the join.
-                stats_->recordStreamCancelled();
+                while (auto event = channel.pop())
+                    sink(*event);
             } catch (...) {
-                channel.fail(std::current_exception());
+                channel.cancel();
+                throw;
             }
-            channel.producerDone();
-        });
-    }
-
-    // Drain until the last producer closes the channel. A throwing
-    // sink cancels the stream (workers finish their in-flight
-    // question — pushes now drop, claims stop) and rethrows after
-    // the pool is joined.
-    try {
-        while (auto event = channel.pop())
-            sink(*event);
-    } catch (...) {
-        channel.cancel();
-        for (auto &t : pool)
-            t.join();
-        throw;
-    }
-    for (auto &t : pool)
-        t.join();
-    // A worker's pipeline failure surfaces here, after the pool is
-    // quiesced — the caller sees the same exception a blocking
+            return;
+        }
+        retrieval::Retriever &worker_retriever =
+            w == 1 ? *retriever_ : *extras[w - 2];
+        // Claim loop with a cancellation check: once the consumer
+        // cancels or a sibling worker fails, producers finish only
+        // their in-flight question instead of answering the rest of
+        // the batch nobody will read. The exception barrier mirrors
+        // askStream's: a throwing pipeline fails the channel.
+        try {
+            while (!channel.cancelled() && !channel.error()) {
+                const std::size_t i = next.fetch_add(1);
+                if (i >= questions.size())
+                    break;
+                Stopwatch timer;
+                double blocked_ms = 0.0;
+                responses[i] = answerParsedStreamed(
+                    worker_retriever, parseStage(questions[i]), i,
+                    channel, &blocked_ms, resolveDeadline(0.0));
+                // Serving latency only (see askStream).
+                latencies[i] =
+                    std::max(timer.milliseconds() - blocked_ms, 0.0);
+            }
+        } catch (const retrieval::StreamCancelled &) {
+            // Consumer-side cancel (throwing sink) tripped the
+            // cooperative token mid-question: quiet retirement, not a
+            // pipeline failure — failing the channel here would
+            // masquerade as an engine error afterwards.
+            stats_->recordStreamCancelled();
+        } catch (...) {
+            channel.fail(std::current_exception());
+        }
+        channel.producerDone();
+    });
+    // A worker's pipeline failure surfaces here, after every producer
+    // has returned — the caller sees the same exception a blocking
     // askBatch of these questions would have thrown.
     if (auto error = channel.error())
         std::rethrow_exception(error);
@@ -1046,7 +973,7 @@ ChatSession::ask(const std::string &question)
     const auto recalled = memory_.recall(question);
     const auto parsed = augmentParsed(
         engine_.parser().parse(question), recalled);
-    auto result = engine_.askParsed(parsed);
+    auto result = engine_.askParsed(parsed, RequestContext{});
     if (!result.ok())
         return result;
     Response r = std::move(result).value();

@@ -20,8 +20,8 @@
  * units, so this facade never changes when one is added.
  * Misconfiguration surfaces as typed Result errors instead of silent
  * defaults, and independent questions can be answered concurrently
- * through a small worker pool with deterministic answers and stable
- * output ordering.
+ * through the engine's one persistent worker pool with deterministic
+ * answers and stable output ordering.
  */
 
 #ifndef CACHEMIND_CORE_CACHEMIND_HH
@@ -59,14 +59,21 @@ struct EngineOptions
     std::string backend = "gpt-4o";
     /** Prompting mode passed to the generator. */
     llm::ShotMode shot_mode = llm::ShotMode::ZeroShot;
-    /** Worker threads used by askBatch (>= 1). */
+    /**
+     * Concurrent workers per askBatch/askBatchStream call (>= 1), and
+     * the thread cap of the engine's one persistent worker pool:
+     * askBatch runs batch_workers - 1 pool jobs beside the caller,
+     * askBatchStream batch_workers producer jobs, askStream one job.
+     */
     std::size_t batch_workers = 4;
     /**
-     * Threads used when the engine constructs components — today the
-     * per-worker retriever pool built on first askBatch, where e.g.
-     * LlamaIndex re-embeds its whole index per worker. Same sentinel
-     * as db::BuildOptions::build_threads: 0 = one thread per hardware
-     * core (always clamped to the work available).
+     * Threads used for one-off engine set-up work: constructing the
+     * per-worker batch retrievers on first askBatch (e.g. LlamaIndex
+     * re-embeds its whole index per worker) and warming every
+     * shard's postings index (warmup()). Never used to answer
+     * questions. Same sentinel as db::BuildOptions::build_threads:
+     * 0 = one thread per hardware core (always clamped to the work
+     * available).
      */
     std::size_t build_threads = 0;
     /**
@@ -154,10 +161,8 @@ struct AskOptions
 /**
  * One request, as a single value: the question, its per-call knobs,
  * an optional correlation id, and an optional trace handle. This is
- * the unified argument accepted by ask/askParsed/askStream/askBatch
- * (and, over the wire, by the serve layer's handleAsk) — the older
- * positional `(question, ask_opts)` overloads are thin shims that
- * build one of these.
+ * the one argument type accepted by ask/askParsed/askStream/askBatch
+ * (and, over the wire, by the serve layer's handleAsk).
  *
  * Tracing: traced() attaches a fresh obs::RequestTrace; the engine
  * then records a span per pipeline stage (parse, plan, retrieve with
@@ -246,11 +251,13 @@ struct Response
 /**
  * The engine. The database must outlive the engine.
  *
- * Concurrency contract: askBatch fans out internally, and stats()
- * snapshots are safe from any thread, but an engine instance expects
- * one caller at a time for ask()/askBatch() — callers wanting
- * parallel serving run one engine per thread (engines are cheap; the
- * database is shared and read-only).
+ * Concurrency contract: askBatch, askBatchStream and askStream run
+ * on one persistent WorkerPool the engine owns (at most
+ * batch_workers threads, started lazily and reused across calls), and
+ * stats() snapshots are safe from any thread, but an engine instance
+ * expects one caller at a time for ask()/askBatch()/askStream() —
+ * callers wanting parallel serving run one engine per thread (engines
+ * are cheap; the database is shared and read-only).
  */
 class CacheMind
 {
@@ -279,13 +286,6 @@ class CacheMind
      */
     Result<Response, EngineError> ask(const RequestContext &ctx);
 
-    /** Shim: ask one question with default knobs. */
-    Result<Response, EngineError> ask(const std::string &question);
-
-    /** Shim: ask() with per-call knobs (deadline). */
-    Result<Response, EngineError> ask(const std::string &question,
-                                      const AskOptions &ask_opts);
-
     /**
      * Answer an already-parsed question. This is the pipeline entry
      * for callers that parse (or augment) upstream — ChatSession
@@ -296,10 +296,6 @@ class CacheMind
      */
     Result<Response, EngineError>
     askParsed(const query::ParsedQuery &parsed, const RequestContext &ctx);
-
-    /** Shim: askParsed with default knobs. */
-    Result<Response, EngineError>
-    askParsed(const query::ParsedQuery &parsed);
 
     /**
      * Answer independent requests concurrently on the engine's
@@ -313,21 +309,18 @@ class CacheMind
     Result<std::vector<Response>, EngineError>
     askBatch(const std::vector<RequestContext> &requests);
 
-    /** Shim: batch of plain questions with default knobs. */
-    Result<std::vector<Response>, EngineError>
-    askBatch(const std::vector<std::string> &questions);
-
     /**
-     * Streaming ask: run the staged pipeline on a background thread
-     * and return a pull-style AnswerStream that yields an event as
-     * each stage completes — Parsed, Planned, one EvidenceChunk per
-     * section the retriever assembles, AnswerDelta fragments during
-     * generation, and a terminal Done whose Response is byte-identical
-     * to a blocking ask() of the same question. Streamed retrieval
-     * still goes through the shared RetrievalCache (a hit streams the
-     * cached bundle as one chunk). The first streaming call warms
-     * every shard's postings index in parallel (see warmup()), so the
-     * first event never waits behind a serial index build.
+     * Streaming ask: run the staged pipeline as a job on the engine's
+     * worker pool and return a pull-style AnswerStream that yields an
+     * event as each stage completes — Parsed, Planned, one
+     * EvidenceChunk per section the retriever assembles, AnswerDelta
+     * fragments during generation, and a terminal Done whose Response
+     * is byte-identical to a blocking ask() of the same question.
+     * Streamed retrieval still goes through the shared RetrievalCache
+     * (a hit streams the cached bundle as one chunk). The first
+     * streaming call warms every shard's postings index in parallel
+     * (see warmup()), so the first event never waits behind a serial
+     * index build.
      *
      * The stream counts as the engine's one in-flight call: consume
      * (or drop) it before the next ask()/askBatch()/askStream(), and
@@ -335,14 +328,6 @@ class CacheMind
      */
     Result<AnswerStream, EngineError>
     askStream(const RequestContext &ctx);
-
-    /** Shim: stream one question with default knobs. */
-    Result<AnswerStream, EngineError>
-    askStream(const std::string &question);
-
-    /** Shim: askStream() with per-call knobs (deadline). */
-    Result<AnswerStream, EngineError>
-    askStream(const std::string &question, const AskOptions &ask_opts);
 
     /** Consumer callback for askBatchStream (called serially). */
     using StreamSink = std::function<void(const StreamEvent &)>;
@@ -356,7 +341,8 @@ class CacheMind
      * — no synchronization needed inside it. Returns the full
      * response vector, byte-identical to askBatch (and therefore to a
      * sequential ask() loop). If the sink throws, the stream is
-     * cancelled, workers are joined, and the exception is rethrown.
+     * cancelled, every worker job is awaited, and the exception is
+     * rethrown.
      */
     Result<std::vector<Response>, EngineError>
     askBatchStream(const std::vector<std::string> &questions,
@@ -538,14 +524,13 @@ class CacheMind
     /** Lazily-built per-worker retrievers, reused across batches. */
     std::unique_ptr<BatchPool> batch_pool_;
     /**
-     * Persistent askStream pipeline workers (lazily created on first
-     * askStream, sized by build_threads). Parking a warm thread on a
-     * condvar replaces the former per-call std::thread spawn, which
-     * cost tens of microseconds of time-to-first-event per request —
-     * the difference between a serving front-end that spawns a thread
-     * per question and one that never does.
+     * The engine's one executor, capped at batch_workers threads:
+     * askStream's pipeline job, askBatch's workers 1..W-1 (worker 0 is
+     * the caller) and askBatchStream's W producers (the caller
+     * drains). Threads start on first use and then park on a condvar,
+     * so no call pays a per-call std::thread spawn and join.
      */
-    std::unique_ptr<WorkerPool> stream_pool_;
+    std::unique_ptr<WorkerPool> pool_;
     /** One-shot guard for the parallel index warm-up (warmup()). */
     std::unique_ptr<std::once_flag> warm_once_ =
         std::make_unique<std::once_flag>();

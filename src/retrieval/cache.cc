@@ -15,13 +15,6 @@ RetrievalCache::RetrievalCache(const Options &options)
 {
 }
 
-RetrievalCache::RetrievalCache(std::size_t capacity,
-                               std::size_t lock_shards)
-    : RetrievalCache(Options{capacity, 0, 0})
-{
-    (void)lock_shards;
-}
-
 std::uint64_t
 RetrievalCache::admit(const std::string &key, BundlePtr value)
 {

@@ -116,15 +116,6 @@ class RetrievalCache
 
     explicit RetrievalCache(const Options &options);
 
-    /**
-     * Legacy constructor. `lock_shards` is accepted for source
-     * compatibility with the sharded-lock LRU this replaced and
-     * ignored: the clock hot tier has no shards (reads are lock-free)
-     * and its capacity is exact, with no per-shard round-up slack.
-     */
-    explicit RetrievalCache(std::size_t capacity,
-                            std::size_t lock_shards = 8);
-
     RetrievalCache(const RetrievalCache &) = delete;
     RetrievalCache &operator=(const RetrievalCache &) = delete;
 

@@ -272,7 +272,8 @@ TEST(ChaosTest, EngineDeadlineDegradesAnswerAndSkipsCache)
     ASSERT_TRUE(fail::armSpec("retrieve.section=delay:60"));
     AskOptions opts;
     opts.deadline_ms = 20.0;
-    const auto degraded = engine.ask(q, opts).expect("degraded ask");
+    const auto degraded =
+        engine.ask(RequestContext(q, opts)).expect("degraded ask");
     EXPECT_TRUE(degraded.bundle.degraded);
     EXPECT_FALSE(degraded.text.empty());
     EXPECT_GE(engine.stats().degraded_answers, 1u);
@@ -281,14 +282,15 @@ TEST(ChaosTest, EngineDeadlineDegradesAnswerAndSkipsCache)
     // A degraded bundle must never have entered the retrieval cache:
     // re-asking without a deadline recomputes a complete bundle.
     fail::disarmAll();
-    const auto clean = engine.ask(q).expect("clean ask");
+    const auto clean = engine.ask(RequestContext(q)).expect("clean ask");
     EXPECT_FALSE(clean.bundle.degraded);
 
     // And the clean answer matches a never-faulted engine's.
     auto fresh = CacheMind::Builder(sharedDb())
                      .build()
                      .expect("fresh engine");
-    EXPECT_EQ(clean.text, fresh.ask(q).expect("reference").text);
+    EXPECT_EQ(clean.text,
+              fresh.ask(RequestContext(q)).expect("reference").text);
 }
 
 TEST(ChaosTest, DeadlineDegradationAcrossAllRetrievers)
@@ -304,7 +306,8 @@ TEST(ChaosTest, DeadlineDegradationAcrossAllRetrievers)
         ASSERT_TRUE(fail::armSpec("retrieve.section=delay:60"));
         AskOptions opts;
         opts.deadline_ms = 20.0;
-        const auto r = engine.ask(q, opts).expect("degraded ask");
+        const auto r =
+            engine.ask(RequestContext(q, opts)).expect("degraded ask");
         // Partial evidence, but still an answer — degradation is
         // graceful, not an error.
         EXPECT_TRUE(r.bundle.degraded);
@@ -393,8 +396,8 @@ TEST(ChaosTest, FailedIndexBuildFallsBackToReferenceScan)
         clean_db.find("astar_evictions_lru")->table.pcAt(0);
     const std::string q = "How many times did PC " + str::hex(clean_pc) +
                           " appear in the astar workload under LRU?";
-    EXPECT_EQ(degraded_engine.ask(q).expect("degraded").text,
-              clean_engine.ask(q).expect("clean").text);
+    EXPECT_EQ(degraded_engine.ask(RequestContext(q)).expect("degraded").text,
+              clean_engine.ask(RequestContext(q)).expect("clean").text);
 }
 
 // ----------------------------------------------------- serve pipeline
@@ -637,15 +640,16 @@ TEST(ChaosTest, WorkerPoolTaskFaultSurfacesAsTypedStreamFailure)
     const auto q = suiteQuestions()[0];
 
     ASSERT_TRUE(fail::armSpec("core.worker_pool.task=error#1"));
-    auto stream = engine.askStream(q).expect("stream");
+    auto stream = engine.askStream(RequestContext(q)).expect("stream");
     EXPECT_THROW(stream.wait(), fail::InjectedFault);
 
     // The budget (#1) is spent and the engine (and its persistent
     // worker) keeps serving.
-    auto clean = engine.askStream(q).expect("clean stream");
+    auto clean = engine.askStream(RequestContext(q)).expect("clean stream");
     auto fresh =
         CacheMind::Builder(sharedDb()).build().expect("fresh");
-    EXPECT_EQ(clean.wait().text, fresh.ask(q).expect("reference").text);
+    EXPECT_EQ(clean.wait().text,
+              fresh.ask(RequestContext(q)).expect("reference").text);
 }
 
 TEST(ChaosTest, StreamPushFaultSurfacesAsTypedStreamFailure)
@@ -659,7 +663,7 @@ TEST(ChaosTest, StreamPushFaultSurfacesAsTypedStreamFailure)
     const auto q = suiteQuestions()[0];
 
     ASSERT_TRUE(fail::armSpec("core.stream.push=error#1"));
-    auto stream = engine.askStream(q).expect("stream");
+    auto stream = engine.askStream(RequestContext(q)).expect("stream");
     EXPECT_THROW(
         {
             while (stream.next()) {
@@ -668,7 +672,7 @@ TEST(ChaosTest, StreamPushFaultSurfacesAsTypedStreamFailure)
         fail::InjectedFault);
 
     fail::disarmAll();
-    auto again = engine.askStream(q).expect("again");
+    auto again = engine.askStream(RequestContext(q)).expect("again");
     EXPECT_FALSE(again.wait().text.empty());
 }
 

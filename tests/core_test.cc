@@ -40,12 +40,12 @@ defaultEngine()
 }
 
 /** A spread of intents exercising retrieval, stats, and reasoning. */
-std::vector<std::string>
-suiteQuestions()
+std::vector<RequestContext>
+suiteRequests()
 {
     const auto *entry = sharedDb().find("astar_evictions_lru");
     const std::uint64_t pc = entry->table.pcAt(0);
-    return {
+    const std::vector<std::string> questions = {
         "What is the miss rate for PC " + str::hex(pc) +
             " in the astar workload with LRU?",
         "Which policy has the lowest miss rate in the astar workload?",
@@ -59,6 +59,7 @@ suiteQuestions()
         "Why does Belady outperform LRU in the astar workload?",
         "What is a compulsory miss?",
     };
+    return {questions.begin(), questions.end()};
 }
 
 } // namespace
@@ -77,9 +78,9 @@ TEST(EngineTest, AskReturnsGroundedResponse)
     auto engine = defaultEngine();
     const auto *entry = sharedDb().find("astar_evictions_lru");
     const std::uint64_t pc = entry->table.pcAt(0);
-    auto result = engine.ask(
+    auto result = engine.ask(RequestContext(
         "What is the miss rate for PC " + str::hex(pc) +
-        " in the astar workload with LRU?");
+        " in the astar workload with LRU?"));
     ASSERT_TRUE(result.ok());
     const auto &response = result.value();
     EXPECT_FALSE(response.text.empty());
@@ -94,9 +95,9 @@ TEST(EngineTest, BuilderSelectsRetrieverByName)
                       .build()
                       .expect("ranger engine");
     EXPECT_STREQ(engine.retriever().name(), "ranger");
-    auto result = engine.ask(
+    auto result = engine.ask(RequestContext(
         "How many times did PC 0x409270 appear in the astar workload "
-        "under LRU?");
+        "under LRU?"));
     ASSERT_TRUE(result.ok());
     EXPECT_TRUE(result.value().bundle.total_is_exact);
 }
@@ -115,7 +116,7 @@ TEST(EngineTest, BuilderNormalizesComponentNames)
 TEST(EngineTest, AskRejectsEmptyQuestion)
 {
     auto engine = defaultEngine();
-    auto result = engine.ask("   ");
+    auto result = engine.ask(RequestContext("   "));
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.error().code, EngineErrorCode::EmptyQuestion);
     EXPECT_EQ(engine.stats().questions, 0u);
@@ -123,7 +124,7 @@ TEST(EngineTest, AskRejectsEmptyQuestion)
 
 TEST(EngineTest, AskBatchMatchesSequentialAsk)
 {
-    const auto questions = suiteQuestions();
+    const auto questions = suiteRequests();
 
     auto sequential_engine = defaultEngine();
     std::vector<Response> expected;
@@ -151,7 +152,7 @@ TEST(EngineTest, AskBatchMatchesSequentialAsk)
 
 TEST(EngineTest, AskBatchIsDeterministicAcrossRuns)
 {
-    const auto questions = suiteQuestions();
+    const auto questions = suiteRequests();
     auto engine = CacheMind::Builder(sharedDb())
                       .withBatchWorkers(4)
                       .build()
@@ -165,7 +166,7 @@ TEST(EngineTest, AskBatchIsDeterministicAcrossRuns)
 
 TEST(EngineTest, AskBatchPreservesOrder)
 {
-    const auto questions = suiteQuestions();
+    const auto questions = suiteRequests();
     auto engine = CacheMind::Builder(sharedDb())
                       .withBatchWorkers(4)
                       .build()
@@ -175,14 +176,14 @@ TEST(EngineTest, AskBatchPreservesOrder)
     // Each response's bundle carries the parsed query it answered;
     // slot i must answer question i.
     for (std::size_t i = 0; i < batch.size(); ++i)
-        EXPECT_EQ(batch[i].bundle.parsed.raw, questions[i]);
+        EXPECT_EQ(batch[i].bundle.parsed.raw, questions[i].question);
 }
 
 TEST(EngineTest, AskBatchRejectsEmptyQuestion)
 {
     auto engine = defaultEngine();
-    auto result = engine.askBatch(
-        std::vector<std::string>{"Which policy is best?", " "});
+    auto result = engine.askBatch({RequestContext("Which policy is best?"),
+                                   RequestContext(" ")});
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.error().code, EngineErrorCode::EmptyQuestion);
     EXPECT_NE(result.error().message.find("#1"), std::string::npos);
@@ -194,8 +195,8 @@ TEST(EngineTest, AskBatchByteIdenticalCacheOnVsOff)
     // Repeated-slot batch: the suite three times over, so the shared
     // cache serves most questions from memoized bundles. Answers must
     // be byte-identical to a cache-off engine, question by question.
-    const auto base = suiteQuestions();
-    std::vector<std::string> questions;
+    const auto base = suiteRequests();
+    std::vector<RequestContext> questions;
     for (int round = 0; round < 3; ++round)
         questions.insert(questions.end(), base.begin(), base.end());
 
@@ -256,21 +257,21 @@ TEST(EngineTest, TieredCacheByteIdenticalAndRecoversDemotions)
     // tiny hot tier would otherwise pay.
     const auto *entry = sharedDb().find("astar_evictions_lru");
     const auto &pcs = entry->table.uniquePcsScan();
-    std::vector<std::string> base;
+    std::vector<RequestContext> base;
     for (std::size_t k = 0; k < 8 && k < pcs.size(); ++k) {
         const std::string pc = str::hex(pcs[k]);
         const std::string where =
             " in the astar workload under LRU?";
-        base.push_back("What is the miss rate for PC " + pc + where);
-        base.push_back("How many times did PC " + pc + " appear" +
-                       where);
-        base.push_back("What is the mean reuse distance of PC " + pc +
-                       where);
-        base.push_back("What is the standard deviation of the reuse "
-                       "distance of PC " + pc + where);
+        base.emplace_back("What is the miss rate for PC " + pc + where);
+        base.emplace_back("How many times did PC " + pc + " appear" +
+                          where);
+        base.emplace_back("What is the mean reuse distance of PC " + pc +
+                          where);
+        base.emplace_back("What is the standard deviation of the reuse "
+                          "distance of PC " + pc + where);
     }
     ASSERT_GE(base.size(), 16u) << "trace has too few distinct PCs";
-    std::vector<std::string> questions;
+    std::vector<RequestContext> questions;
     for (int round = 0; round < 2; ++round)
         questions.insert(questions.end(), base.begin(), base.end());
     const auto distinct = static_cast<std::uint64_t>(base.size());
@@ -332,8 +333,7 @@ TEST(EngineTest, TieredCacheByteIdenticalAndRecoversDemotions)
         // streamed answer must match the cache-off stream's.
         for (std::size_t i = 0; i < 4; ++i) {
             auto s_off = off.askStream(base[i]).expect("off stream");
-            auto s_on =
-                tiered.askStream(base[i]).expect("tiered stream");
+            auto s_on = tiered.askStream(base[i]).expect("tiered stream");
             std::string text_off, text_on;
             while (auto event = s_off.next())
                 if (event->kind == StreamEvent::Kind::Done)
@@ -350,7 +350,7 @@ TEST(EngineTest, TieredCacheByteIdenticalAndRecoversDemotions)
 TEST(EngineTest, CacheStatsAreSplitByRetriever)
 {
     auto engine = defaultEngine();
-    const auto q = suiteQuestions()[0];
+    const auto q = suiteRequests()[0];
     engine.ask(q).expect("miss");
     engine.ask(q).expect("hit");
     const auto stats = engine.stats();
@@ -375,8 +375,8 @@ TEST(EngineTest, SlotEqualPhrasingsShareOneRetrieval)
     const std::string b = "For the astar workload under LRU, what "
                           "miss rate does PC " +
                           str::hex(pc) + " have?";
-    const auto ra = engine.ask(a).expect("a");
-    const auto rb = engine.ask(b).expect("b");
+    const auto ra = engine.ask(RequestContext(a)).expect("a");
+    const auto rb = engine.ask(RequestContext(b)).expect("b");
     const auto stats = engine.stats();
     EXPECT_EQ(stats.cache.misses, 1u);
     EXPECT_EQ(stats.cache.hits, 1u);
@@ -386,27 +386,29 @@ TEST(EngineTest, SlotEqualPhrasingsShareOneRetrieval)
     EXPECT_EQ(rb.bundle.parsed.raw, b);
     // And each answer matches a fresh single-question engine's.
     auto fresh = defaultEngine();
-    EXPECT_EQ(rb.text, fresh.ask(b).expect("fresh").text);
+    EXPECT_EQ(rb.text, fresh.ask(RequestContext(b)).expect("fresh").text);
 }
 
 TEST(EngineTest, AskParsedMatchesAsk)
 {
-    const auto questions = suiteQuestions();
+    const auto questions = suiteRequests();
     auto via_ask = defaultEngine();
     auto via_parsed = defaultEngine();
     for (const auto &q : questions) {
         const auto a = via_ask.ask(q).expect("ask");
-        const auto b = via_parsed.askParsed(via_parsed.parser().parse(q))
-                           .expect("askParsed");
-        EXPECT_EQ(a.text, b.text) << q;
-        EXPECT_EQ(a.bundle.render(), b.bundle.render()) << q;
+        const auto b =
+            via_parsed.askParsed(via_parsed.parser().parse(q.question), q)
+                .expect("askParsed");
+        EXPECT_EQ(a.text, b.text) << q.question;
+        EXPECT_EQ(a.bundle.render(), b.bundle.render()) << q.question;
     }
 }
 
 TEST(EngineTest, AskParsedRejectsBlankRaw)
 {
     auto engine = defaultEngine();
-    auto result = engine.askParsed(engine.parser().parse("  "));
+    auto result =
+        engine.askParsed(engine.parser().parse("  "), RequestContext());
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.error().code, EngineErrorCode::EmptyQuestion);
 }
@@ -427,11 +429,11 @@ TEST(EngineTest, SieveEvidenceWindowKnobPlumbsThroughBuilder)
     const std::string q = "What is the miss rate for PC " +
                           str::hex(pc) +
                           " in the astar workload with LRU?";
-    const auto bounded = tight.ask(q).expect("bounded");
+    const auto bounded = tight.ask(RequestContext(q)).expect("bounded");
     EXPECT_LE(bounded.bundle.rows.size(), 2u);
 
     auto stock = defaultEngine();
-    const auto full = stock.ask(q).expect("full");
+    const auto full = stock.ask(RequestContext(q)).expect("full");
     EXPECT_GT(full.bundle.rows.size(), 2u);
 }
 
@@ -451,7 +453,7 @@ TEST(EngineTest, RangerFidelityKnobPlumbsThroughBuilder)
     cfg.codegen_fidelity = 0.0;
     retrieval::RangerRetriever direct(sharedDb(), cfg);
 
-    const auto via_engine = engine.ask(q).expect("engine ask");
+    const auto via_engine = engine.ask(RequestContext(q)).expect("engine ask");
     const auto via_direct = direct.retrieve(q);
     EXPECT_EQ(via_engine.bundle.render(), via_direct.render());
     EXPECT_EQ(via_engine.bundle.generated_code,
@@ -476,7 +478,7 @@ TEST(EngineTest, BuildThreadsKnobPlumbsThroughBuilder)
     // The worker retrievers constructed concurrently on the
     // build_threads pool must answer byte-identically to a
     // sequential ask() loop.
-    const auto questions = suiteQuestions();
+    const auto questions = suiteRequests();
     const auto batch = engine.askBatch(questions).expect("batch");
     auto sequential_engine = defaultEngine();
     ASSERT_EQ(batch.size(), questions.size());
@@ -507,7 +509,7 @@ TEST(EngineStatsTest, PercentileSortedEdgeCases)
 
 TEST(EngineTest, StatsCountQuestionsQualityAndLatency)
 {
-    const auto questions = suiteQuestions();
+    const auto questions = suiteRequests();
     auto engine = CacheMind::Builder(sharedDb())
                       .withBatchWorkers(4)
                       .build()
@@ -592,7 +594,7 @@ TEST(ChatSessionTest, MemorySharpensUnderSpecifiedFollowUp)
     // Without conversation state the follow-up names no workload, so
     // retrieval cannot resolve a trace.
     auto bare_engine = defaultEngine();
-    auto bare = bare_engine.ask(follow_up).expect("bare ask");
+    auto bare = bare_engine.ask(RequestContext(follow_up)).expect("bare ask");
     EXPECT_TRUE(bare.bundle.trace_key.empty());
 
     // With memory of an earlier astar/LRU turn, the recalled facts
@@ -615,8 +617,9 @@ TEST(EngineTest, SharedRetrievalCacheIsReusedAcrossEngines)
     // backend share one externally owned bundle cache, so the second
     // engine's retrieval is served from the first engine's work.
     auto shared_cache =
-        std::make_shared<retrieval::RetrievalCache>(256);
-    const auto questions = suiteQuestions();
+        std::make_shared<retrieval::RetrievalCache>(
+            retrieval::RetrievalCache::Options{256});
+    const auto questions = suiteRequests();
 
     auto first = CacheMind::Builder(sharedDb())
                      .withBackend("gpt-4o")
@@ -646,10 +649,10 @@ TEST(EngineTest, SharedRetrievalCacheIsReusedAcrossEngines)
         const auto shared_resp = second.ask(q).expect("second ask");
         const auto isolated_resp = isolated.ask(q).expect("isolated");
         // Shared bundles must never change a single answer byte.
-        EXPECT_EQ(shared_resp.text, isolated_resp.text) << q;
+        EXPECT_EQ(shared_resp.text, isolated_resp.text) << q.question;
         EXPECT_EQ(shared_resp.bundle.render(),
                   isolated_resp.bundle.render())
-            << q;
+            << q.question;
     }
     // Identical retriever fingerprints: every question the second
     // engine asked was served from the first engine's entries.
@@ -664,8 +667,9 @@ TEST(EngineStatsTest, IndexTotalsSurfaceThroughEngineStats)
     const auto *entry = sharedDb().find("astar_evictions_lru");
     const std::uint64_t pc = entry->table.pcAt(0);
     (void)engine
-        .ask("What is the miss rate for PC " + str::hex(pc) +
-             " in the astar workload with LRU?")
+        .ask(RequestContext("What is the miss rate for PC " +
+                            str::hex(pc) +
+                            " in the astar workload with LRU?"))
         .expect("ask");
     const auto stats = engine.stats();
     // Sieve's evidence slice went through the postings index: the

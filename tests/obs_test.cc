@@ -421,7 +421,8 @@ TEST(EngineTraceTest, AnswersByteIdenticalTracedVsUntraced)
         "What is a compulsory miss?",
     };
     for (const auto &question : questions) {
-        const auto expect = plain.ask(question).expect("plain ask");
+        const auto expect =
+            plain.ask(RequestContext(question)).expect("plain ask");
         RequestContext ctx(question);
         ctx.traced();
         const auto got = traced.ask(ctx).expect("traced ask");
@@ -497,7 +498,8 @@ TEST(EngineTraceTest, StreamEventsCarryStageSpans)
     EXPECT_TRUE(saw_section);
 
     // Untraced streams carry span id 0 on every event.
-    auto bare = engine.askStream(hotQuestion()).expect("bare stream");
+    auto bare = engine.askStream(RequestContext(hotQuestion()))
+                    .expect("bare stream");
     while (auto event = bare.next())
         EXPECT_EQ(event->span, 0u);
 }
@@ -511,7 +513,7 @@ TEST(EngineTraceTest, StatsAggregateTracedRequests)
         ASSERT_TRUE(engine.ask(ctx).ok());
     }
     // Untraced asks contribute nothing to the trace aggregates.
-    ASSERT_TRUE(engine.ask(hotQuestion()).ok());
+    ASSERT_TRUE(engine.ask(RequestContext(hotQuestion())).ok());
 
     const auto stats = engine.stats();
     EXPECT_EQ(stats.trace.traced, 3u);

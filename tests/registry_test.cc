@@ -125,7 +125,8 @@ TEST(RetrieverRegistryTest, CustomRetrieverPlugsIntoEngine)
                       .build()
                       .expect("echo engine");
     EXPECT_STREQ(engine.retriever().name(), "echo-test");
-    auto response = engine.ask("Any question at all?").expect("ask");
+    auto response =
+        engine.ask(RequestContext("Any question at all?")).expect("ask");
     EXPECT_EQ(response.bundle.retriever, "echo-test");
     EXPECT_NE(response.bundle.result_text.find("echo: Any question"),
               std::string::npos);
@@ -177,10 +178,10 @@ TEST(BackendRegistryTest, CustomBackendPlugsIntoEngine)
     EXPECT_EQ(engine.generator().name(), "perfect-llm");
     EXPECT_EQ(engine.generator().profile().lookup, 1.0);
     const auto *entry = sharedDb().find("astar_evictions_lru");
-    auto response = engine.ask(
+    auto response = engine.ask(RequestContext(
         "What is the miss rate for PC " +
         str::hex(entry->table.pcAt(0)) +
-        " in the astar workload with LRU?");
+        " in the astar workload with LRU?"));
     ASSERT_TRUE(response.ok());
     EXPECT_TRUE(response.value().answer.number.has_value());
 }

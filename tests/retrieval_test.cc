@@ -432,7 +432,7 @@ TEST(CacheKeyTest, RawDependentRetrieversKeyOnRawText)
 
 TEST(RetrievalCacheTest, HitReturnsTheSharedBundle)
 {
-    RetrievalCache cache(/*capacity=*/8, /*lock_shards=*/1);
+    RetrievalCache cache(RetrievalCache::Options{8});
     int computes = 0;
     const auto compute = [&] {
         ++computes;
@@ -485,7 +485,7 @@ TEST(RetrievalCacheTest, ExactCapacityIsNeverExceeded)
     // lock_shards - 1. The clock tier's budget is exact: occupancy
     // never passes `capacity`, shards or no shards.
     constexpr std::size_t kCapacity = 5;
-    RetrievalCache cache(kCapacity, /*lock_shards=*/8);
+    RetrievalCache cache(RetrievalCache::Options{kCapacity});
     for (int i = 0; i < 50; ++i) {
         const std::string key = "key-" + std::to_string(i);
         cache.getOrCompute(key, [&] { return taggedBundle(key); });
@@ -560,7 +560,7 @@ TEST(RetrievalCacheTest, SecondaryTierByteBudgetIsExact)
 
 TEST(RetrievalCacheTest, CapacityZeroDisablesCaching)
 {
-    RetrievalCache cache(/*capacity=*/0);
+    RetrievalCache cache(RetrievalCache::Options{0});
     EXPECT_FALSE(cache.enabled());
     int computes = 0;
     for (int i = 0; i < 3; ++i) {
@@ -584,7 +584,7 @@ TEST(RetrievalCacheTest, HotKeyHammerIsSingleFlight)
     // exactly once — concurrent misses coalesce onto the in-flight
     // computation — and every thread must see the same bundle. Run
     // under TSan in CI to keep shared-cache races from regressing.
-    RetrievalCache cache(/*capacity=*/64);
+    RetrievalCache cache(RetrievalCache::Options{64});
     constexpr int kThreads = 8;
     constexpr int kIters = 200;
     std::atomic<int> computes{0};
@@ -623,7 +623,7 @@ TEST(RetrievalCacheTest, DistinctKeysUnderConcurrency)
 {
     // Multi-key hammer across lock shards: every key computes exactly
     // once and keeps its own bundle.
-    RetrievalCache cache(/*capacity=*/256, /*lock_shards=*/8);
+    RetrievalCache cache(RetrievalCache::Options{256});
     constexpr int kThreads = 8;
     constexpr int kKeys = 32;
     std::atomic<int> computes{0};

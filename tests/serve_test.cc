@@ -16,9 +16,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstddef>
 #include <map>
+#include <mutex>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -254,6 +257,75 @@ TEST(WorkerPoolTest, ReusesAParkedThreadAcrossSequentialJobs)
     EXPECT_EQ(pool.threadsStarted(), 1u);
 }
 
+TEST(WorkerPoolTest, BurstAfterAParkedWorkerRunsEveryJobAtOnce)
+{
+    // One parked worker, then three jobs that can only finish
+    // together. The parked worker takes one of them; the pool must
+    // start threads for the other two even though that worker still
+    // counts as idle until it wakes.
+    WorkerPool pool(4);
+    std::atomic<bool> warm{false};
+    pool.submit([&] { warm.store(true); });
+    while (!warm.load())
+        std::this_thread::yield();
+    std::this_thread::sleep_for(std::chrono::milliseconds(20)); // park
+    ASSERT_EQ(pool.threadsStarted(), 1u);
+
+    constexpr int kJobs = 3;
+    std::mutex mu;
+    std::condition_variable cv;
+    int arrived = 0, met = 0, finished = 0;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    for (int j = 0; j < kJobs; ++j) {
+        pool.submit([&] {
+            std::unique_lock<std::mutex> lock(mu);
+            ++arrived;
+            cv.notify_all();
+            if (cv.wait_until(lock, deadline,
+                              [&] { return arrived == kJobs; }))
+                ++met;
+            ++finished;
+            cv.notify_all();
+        });
+    }
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return finished == kJobs; });
+    EXPECT_EQ(met, kJobs);
+}
+
+TEST(WorkerPoolTest, ForEachRunsIndexZeroInlineAndRethrows)
+{
+    WorkerPool pool(2);
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<int> hits(5, 0);
+    pool.forEach(hits.size(), [&](std::size_t i) {
+        if (i == 0) {
+            EXPECT_EQ(std::this_thread::get_id(), caller);
+        }
+        ++hits[i];
+    });
+    EXPECT_EQ(hits, std::vector<int>(5, 1));
+
+    WorkerPool idle(2);
+    idle.forEach(1, [](std::size_t) {}); // inline: starts no thread
+    EXPECT_EQ(idle.threadsStarted(), 0u);
+
+    // Every job finishes before the first exception is rethrown, and
+    // the workers survive it.
+    for (int round = 0; round < 2; ++round) {
+        std::atomic<int> ran{0};
+        EXPECT_THROW(pool.forEach(4,
+                                  [&](std::size_t i) {
+                                      ++ran;
+                                      if (i == 2)
+                                          throw std::runtime_error("job");
+                                  }),
+                     std::runtime_error);
+        EXPECT_EQ(ran.load(), 4);
+    }
+}
+
 TEST(AskStreamTest, SequentialStreamsReuseThePersistentWorker)
 {
     auto engine = CacheMind::Builder(sharedDb())
@@ -263,7 +335,7 @@ TEST(AskStreamTest, SequentialStreamsReuseThePersistentWorker)
     const auto questions = suiteQuestions();
     for (int round = 0; round < 3; ++round) {
         auto stream =
-            engine.askStream(questions[0]).expect("stream");
+            engine.askStream(RequestContext(questions[0])).expect("stream");
         const Response r = stream.wait();
         EXPECT_FALSE(r.text.empty());
     }
@@ -337,7 +409,8 @@ TEST(CancellationTest, CancelledStreamIsCountedAndEngineStaysUsable)
                       .expect("engine");
     const auto questions = suiteQuestions();
     {
-        auto stream = engine.askStream(questions[3]).expect("stream");
+        auto stream =
+            engine.askStream(RequestContext(questions[3])).expect("stream");
         while (auto event = stream.next()) {
             if (event->kind == StreamEvent::Kind::AnswerDelta)
                 break;
@@ -349,7 +422,7 @@ TEST(CancellationTest, CancelledStreamIsCountedAndEngineStaysUsable)
     const auto stats = engine.stats();
     EXPECT_EQ(stats.stream.cancelled, 1u);
     EXPECT_EQ(stats.questions, 0u); // no latency sample recorded
-    auto result = engine.ask(questions[0]);
+    auto result = engine.ask(RequestContext(questions[0]));
     ASSERT_TRUE(result.ok());
     EXPECT_FALSE(result.value().text.empty());
 }
@@ -369,9 +442,10 @@ TEST(PacingTest, TokensPerSecondPacesDeltasWithoutChangingBytes)
                      .build()
                      .expect("paced");
     const std::string expected =
-        unpaced.ask(questions[3]).expect("ask").text;
+        unpaced.ask(RequestContext(questions[3])).expect("ask").text;
 
-    auto stream = paced.askStream(questions[3]).expect("stream");
+    auto stream =
+        paced.askStream(RequestContext(questions[3])).expect("stream");
     std::string deltas;
     std::size_t delta_events = 0;
     Stopwatch timer;
@@ -456,7 +530,8 @@ TEST(ServerTest, ConcurrentClientsMatchBlockingAskAllRetrievers)
                           .build()
                           .expect(name);
         for (const auto &q : questions)
-            expected[name].push_back(engine.ask(q).expect("ask").text);
+            expected[name].push_back(
+                engine.ask(RequestContext(q)).expect("ask").text);
     }
 
     ServeOptions opts;

@@ -6,13 +6,17 @@
  * askStream/askBatchStream pipeline — event ordering, byte-identity
  * of the terminal Done answer with blocking ask() across all three
  * retrievers with the retrieval cache on and off, evidence streaming
- * on cache hits, and the streaming statistics counters.
+ * on cache hits, the streaming statistics counters, and the one
+ * worker pool askStream, askBatch and askBatchStream share.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <map>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -271,7 +275,7 @@ TEST(StreamCacheTest, PeekAndPublishPopulateWithoutBlocking)
     // The streaming pipeline's cache protocol: peek never waits on an
     // in-flight computation, publish inserts a finished bundle, and a
     // later peek serves it.
-    retrieval::RetrievalCache cache(4, 1);
+    retrieval::RetrievalCache cache(retrieval::RetrievalCache::Options{4});
     retrieval::RetrievalCache::Outcome outcome;
     EXPECT_EQ(cache.peek("k", &outcome), nullptr);
     EXPECT_FALSE(outcome.hit);
@@ -312,7 +316,7 @@ TEST(AskStreamTest, EventsArriveInPipelineOrder)
     auto engine = engineWith("sieve", 1024);
     const auto questions = suiteQuestions();
     auto stream =
-        engine.askStream(questions[0]).expect("stream");
+        engine.askStream(RequestContext(questions[0])).expect("stream");
     const auto events = drain(stream);
 
     ASSERT_GE(events.size(), 5u);
@@ -361,9 +365,9 @@ TEST(AskStreamTest, DoneIsByteIdenticalToBlockingAsk)
             auto blocking = engineWith(retriever, capacity);
             auto streaming = engineWith(retriever, capacity);
             for (const auto &question : questions) {
-                auto expected = blocking.ask(question);
+                auto expected = blocking.ask(RequestContext(question));
                 ASSERT_TRUE(expected.ok());
-                auto stream = streaming.askStream(question)
+                auto stream = streaming.askStream(RequestContext(question))
                                   .expect("askStream");
                 const Response got = stream.wait();
                 const auto &want = expected.value();
@@ -389,10 +393,12 @@ TEST(AskStreamTest, CacheHitStillStreamsEvidence)
     auto engine = engineWith("sieve", 1024);
     const auto questions = suiteQuestions();
 
-    auto first = engine.askStream(questions[0]).expect("cold stream");
+    auto first =
+        engine.askStream(RequestContext(questions[0])).expect("cold stream");
     const Response cold = first.wait();
 
-    auto second = engine.askStream(questions[0]).expect("hot stream");
+    auto second =
+        engine.askStream(RequestContext(questions[0])).expect("hot stream");
     std::size_t chunks = 0;
     bool saw_cached_label = false;
     Response hot;
@@ -417,7 +423,7 @@ TEST(AskStreamTest, CacheHitStillStreamsEvidence)
 TEST(AskStreamTest, RejectsEmptyQuestion)
 {
     auto engine = engineWith("sieve", 0);
-    auto result = engine.askStream("   ");
+    auto result = engine.askStream(RequestContext("   "));
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.error().code, EngineErrorCode::EmptyQuestion);
 }
@@ -428,14 +434,14 @@ TEST(AskStreamTest, AbandoningAStreamMidFlightIsSafe)
     const auto questions = suiteQuestions();
     {
         auto stream =
-            engine.askStream(questions[0]).expect("abandoned");
+            engine.askStream(RequestContext(questions[0])).expect("abandoned");
         auto first = stream.next();
         ASSERT_TRUE(first.has_value());
         // Dropping the handle here cancels the channel and joins the
         // worker; a tiny buffer would otherwise leave it blocked.
     }
     // The engine remains fully usable afterwards.
-    auto result = engine.ask(questions[0]);
+    auto result = engine.ask(RequestContext(questions[0]));
     ASSERT_TRUE(result.ok());
     EXPECT_FALSE(result.value().text.empty());
 }
@@ -444,7 +450,8 @@ TEST(AskStreamTest, WaitAfterNextReturnsTheSameResponse)
 {
     auto engine = engineWith("sieve", 0);
     const auto questions = suiteQuestions();
-    auto stream = engine.askStream(questions[1]).expect("stream");
+    auto stream =
+        engine.askStream(RequestContext(questions[1])).expect("stream");
     auto first = stream.next();
     ASSERT_TRUE(first.has_value());
     const Response r1 = stream.wait();
@@ -478,7 +485,8 @@ TEST(AskBatchStreamTest, ResponsesMatchAskBatchAndEventsComplete)
     auto reference = engineWith("sieve", 1024);
     auto streaming = engineWith("sieve", 1024);
 
-    auto expected = reference.askBatch(questions);
+    auto expected = reference.askBatch(
+        std::vector<RequestContext>(questions.begin(), questions.end()));
     ASSERT_TRUE(expected.ok());
 
     struct PerQuestion
@@ -536,7 +544,8 @@ TEST(AskBatchStreamTest, ThrowingSinkCancelsAndPropagates)
                               }),
         std::runtime_error);
     // The engine (and its worker pool) survives for the next call.
-    auto result = engine.askBatch(questions);
+    auto result = engine.askBatch(
+        std::vector<RequestContext>(questions.begin(), questions.end()));
     ASSERT_TRUE(result.ok());
     EXPECT_EQ(result.value().size(), questions.size());
 }
@@ -568,23 +577,130 @@ TEST(AskStreamTest, PipelineExceptionsPropagateLikeBlockingAsk)
 {
     // A throwing custom retriever must surface its exception to the
     // caller on every entry point — never escape a worker thread
-    // into std::terminate, never hang the consumer.
+    // into std::terminate, never hang the consumer. Every entry point
+    // runs twice: the second call must throw again rather than hang,
+    // so the shared pool's workers survive a throwing job.
     ASSERT_TRUE(thrower_registered);
     auto engine = CacheMind::Builder(sharedDb())
                       .withRetriever("stream-test-thrower")
                       .build()
                       .expect("throwing engine");
+    const std::vector<RequestContext> batch{
+        RequestContext("a?"), RequestContext("b?"), RequestContext("c?")};
 
-    EXPECT_THROW(engine.ask("boom?"), std::runtime_error);
-    EXPECT_THROW(engine.askBatch(std::vector<std::string>{"a?", "b?", "c?"}),
-                 std::runtime_error);
+    for (int round = 0; round < 2; ++round) {
+        SCOPED_TRACE(round);
+        EXPECT_THROW(engine.ask(RequestContext("boom?")),
+                     std::runtime_error);
+        EXPECT_THROW(engine.askBatch(batch), std::runtime_error);
 
-    auto stream = engine.askStream("boom?").expect("stream");
-    EXPECT_THROW(stream.wait(), std::runtime_error);
+        auto stream =
+            engine.askStream(RequestContext("boom?")).expect("stream");
+        EXPECT_THROW(stream.wait(), std::runtime_error);
 
-    EXPECT_THROW(engine.askBatchStream({"a?", "b?", "c?"},
-                                       [](const StreamEvent &) {}),
-                 std::runtime_error);
+        EXPECT_THROW(engine.askBatchStream({"a?", "b?", "c?"},
+                                           [](const StreamEvent &) {}),
+                     std::runtime_error);
+    }
+}
+
+namespace {
+
+/**
+ * While armed, every retrieve() blocks until `target` retrievals are
+ * in flight at once (or a 2 s deadline passes) and counts the calls
+ * that met; unarmed, it returns at once.
+ */
+struct Rendezvous
+{
+    std::mutex mu;
+    std::condition_variable cv;
+    std::size_t target = 0;
+    std::size_t arrived = 0;
+    std::size_t met = 0;
+    std::chrono::steady_clock::time_point deadline;
+
+    void
+    arm(std::size_t n)
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        target = n;
+        arrived = met = 0;
+        deadline = std::chrono::steady_clock::now() +
+                   std::chrono::seconds(2);
+    }
+};
+
+Rendezvous &
+rendezvous()
+{
+    static Rendezvous r;
+    return r;
+}
+
+class RendezvousRetriever final : public retrieval::Retriever
+{
+  public:
+    const char *name() const override { return "rendezvous"; }
+
+    retrieval::ContextBundle
+    retrieve(const std::string &query) override
+    {
+        Rendezvous &r = rendezvous();
+        std::unique_lock<std::mutex> lock(r.mu);
+        if (r.target != 0) {
+            ++r.arrived;
+            r.cv.notify_all();
+            if (r.cv.wait_until(lock, r.deadline,
+                                [&] { return r.arrived >= r.target; }))
+                ++r.met;
+        }
+        retrieval::ContextBundle bundle;
+        bundle.retriever = name();
+        bundle.result_text = query;
+        return bundle;
+    }
+};
+
+const bool rendezvous_registered =
+    retrieval::RetrieverRegistry::instance().add(
+        "stream-test-rendezvous", [](const db::ShardSet &) {
+            return std::make_unique<RendezvousRetriever>();
+        });
+
+} // namespace
+
+TEST(AskBatchTest, RunsFullWidthOnThePoolAskStreamWarmed)
+{
+    // askStream leaves one parked worker in the engine's pool; the
+    // next askBatch must still run all batch_workers retrievals at
+    // once (the caller plus three pool jobs), not queue some of them
+    // behind the parked worker.
+    ASSERT_TRUE(rendezvous_registered);
+    constexpr std::size_t kWorkers = 4;
+    auto engine = CacheMind::Builder(sharedDb())
+                      .withRetriever("stream-test-rendezvous")
+                      .withBatchWorkers(kWorkers)
+                      .build()
+                      .expect("rendezvous engine");
+    const auto questions = suiteQuestions();
+    ASSERT_EQ(questions.size(), kWorkers);
+    engine.askStream(RequestContext(questions[0]))
+        .expect("stream")
+        .wait();
+
+    rendezvous().arm(kWorkers);
+    const auto batch = engine.askBatch(
+        std::vector<RequestContext>(questions.begin(), questions.end()));
+    std::size_t met = 0;
+    {
+        std::lock_guard<std::mutex> lock(rendezvous().mu);
+        met = rendezvous().met;
+        rendezvous().target = 0; // disarm
+    }
+    ASSERT_TRUE(batch.ok());
+    EXPECT_EQ(batch.value().size(), kWorkers);
+    EXPECT_EQ(met, kWorkers);
 }
 
 TEST(AskBatchStreamTest, StreamingStatsAreRecorded)
