@@ -73,6 +73,7 @@ buildEntry(const std::string &workload_name,
     entry.policy = policy::policyName(pk);
     entry.table.setSymbols(symbols);
     entry.table.setLineBytes(cfg.llc.line_bytes);
+    entry.table.setHistoryLen(history_len);
     entry.table.reserve(stream.size());
 
     std::deque<PcAddr> window;

@@ -94,8 +94,8 @@ TraceTable::append(const sim::ReplayEvent &ev,
         snap_off_.push_back(0);
         score_off_.push_back(0);
     }
-    if (history_len_ == 0 && !history.empty())
-        history_len_ = static_cast<std::uint32_t>(history.size());
+    CM_ASSERT(history.size() <= history_len_,
+              "history window wider than the table's history column");
 
     pc_id_.push_back(pcs_.intern(ev.pc));
     addr_id_.push_back(addrs_.intern(ev.address));

@@ -102,6 +102,12 @@ class TraceTable
     /** Line size used to render line base addresses. */
     void setLineBytes(std::uint32_t bytes) { line_bytes_ = bytes; }
 
+    /**
+     * Width of the recent-access-history column: every row stores up
+     * to this many (pc, address) pairs. Set before the first append.
+     */
+    void setHistoryLen(std::uint32_t len) { history_len_ = len; }
+
     void reserve(std::size_t n);
 
     /**

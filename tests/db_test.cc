@@ -36,6 +36,7 @@ makeTinyTable()
 {
     TraceTable t;
     t.setLineBytes(64);
+    t.setHistoryLen(4);
     std::vector<PcAddr> history;
     for (std::uint64_t i = 0; i < 10; ++i) {
         sim::ReplayEvent ev;
@@ -680,16 +681,39 @@ TEST(BuilderTest, BuildMatchesPinnedDigest)
 {
     // The identity build, digested over every column, both dictionary
     // ids of every row and every 7th materialised row. The constant
-    // was recorded from the build before interning moved to flat
-    // open-addressed dictionaries and replay stopped allocating per
-    // event; it moves if the build emits different ids, values or
-    // strings.
-    constexpr std::uint64_t kPinnedDigest = 0x8a7f0a1ff83c556cULL;
+    // was recorded when the history column got its fixed width from
+    // BuildOptions::history_len (it had latched the first, one-entry
+    // window, so almost every row read another row's history); it
+    // moves if the build emits different ids, values or strings.
+    constexpr std::uint64_t kPinnedDigest = 0xf10d9b6956b8660bULL;
     BuildOptions opts = identityBuildOptions();
     opts.build_threads = 2;
     const auto db = buildDatabase(opts);
     EXPECT_EQ(databaseDigest(db), kPinnedDigest)
         << "digest 0x" << std::hex << databaseDigest(db);
+}
+
+TEST(BuilderTest, HistoryIsThePreviousRowsOldestFirst)
+{
+    // recent_access_history of row i is rows max(0, i-k)..i-1 of the
+    // same table, oldest first, for every row of every entry.
+    const BuildOptions opts = identityBuildOptions();
+    const auto db = buildDatabase(opts);
+    const std::size_t k = opts.history_len;
+    for (const auto &key : db.keys()) {
+        const TraceTable &t = db.find(key)->table;
+        ASSERT_GT(t.size(), k) << key;
+        for (std::size_t i = 0; i < t.size(); ++i) {
+            const auto history = t.row(i).recent_access_history;
+            const std::size_t first = i >= k ? i - k : 0;
+            ASSERT_EQ(history.size(), i - first) << key << " row " << i;
+            for (std::size_t j = first; j < i; ++j) {
+                const PcAddr expected{t.pcAt(j), t.addressAt(j)};
+                ASSERT_EQ(history[j - first], expected)
+                    << key << " row " << i << " slot " << j - first;
+            }
+        }
+    }
 }
 
 TEST(ShardTest, WarmIndexesMatchesLazyBuildAndIsIdempotent)
