@@ -1,102 +1,115 @@
 #include "db/builder.hh"
 
-#include <deque>
+#include <algorithm>
+#include <future>
 #include <sstream>
 #include <thread>
 
-#include "base/logging.hh"
+#include "base/failpoint.hh"
 #include "base/parallel.hh"
-#include "base/str.hh"
 #include "policy/parrot.hh"
 #include "sim/llc_replay.hh"
 
 namespace cachemind::db {
 
-std::string
-buildMetadataString(const StatsExpert &expert)
-{
-    const TraceSummary &s = expert.summary();
-    const std::uint64_t misses = s.misses;
-    const double cap_pct =
-        misses ? 100.0 * static_cast<double>(s.capacity) /
-                     static_cast<double>(misses)
-               : 0.0;
-    const double conf_pct =
-        misses ? 100.0 * static_cast<double>(s.conflict) /
-                     static_cast<double>(misses)
-               : 0.0;
-    const double comp_pct =
-        misses ? 100.0 * static_cast<double>(s.compulsory) /
-                     static_cast<double>(misses)
-               : 0.0;
-
-    std::ostringstream os;
-    os << "Cache Performance Summary: " << s.accesses
-       << " total accesses, " << s.misses << " total misses, "
-       << str::percent(s.missRate()) << " miss rate, "
-       << str::fixed(comp_pct) << "% compulsory misses, "
-       << str::fixed(cap_pct) << "% capacity misses, "
-       << str::fixed(conf_pct) << "% conflict misses, " << s.evictions
-       << " total evictions, " << s.bypasses << " bypassed fills, "
-       << s.wrong_evictions << " ("
-       << str::fixed(s.wrongEvictionPct())
-       << "%) wrong evictions where evicted line has lower reuse "
-          "distance. The correlation between accessed address recency "
-          "and cache misses is "
-       << str::fixed(s.recency_miss_correlation) << ". "
-       << s.unique_pcs << " unique program counters.";
-    return os.str();
-}
-
 namespace {
 
-/** Build one entry by replaying a stream under one policy. */
-TraceEntry
-buildEntry(const std::string &workload_name,
-           const std::string &workload_desc, policy::PolicyKind pk,
-           const std::vector<sim::LlcAccess> &stream,
-           const sim::OracleInfo &oracle, const sim::HierarchyConfig &cfg,
-           const trace::SymbolTable *symbols, std::uint32_t history_len)
+/**
+ * One workload's inputs to its entry tasks: the model, the symbol
+ * table the database owns, and the LLC stream and oracle that its
+ * workload task produces. `ready` is fulfilled when that task ends,
+ * or carries its exception.
+ */
+struct WorkloadArtifacts
+{
+    std::unique_ptr<trace::WorkloadModel> model;
+    const trace::SymbolTable *symbols = nullptr;
+    std::vector<sim::LlcAccess> stream;
+    sim::OracleInfo oracle;
+    std::promise<void> done;
+    std::shared_future<void> ready = done.get_future().share();
+};
+
+/** One (workload, policy) entry of the task list. */
+struct EntryTask
+{
+    std::size_t workload = 0;
+    policy::PolicyKind policy = policy::PolicyKind::Lru;
+};
+
+/**
+ * Rank of an entry task's build time, longest first. On the default
+ * database an MLP entry takes about 1.7x any other; Parrot, LRU and
+ * Belady are within about 15% of each other, Belady the shortest.
+ * Policies not measured rank with LRU. Starting the longest tasks
+ * first keeps one long task from running alone at the end.
+ */
+int
+entryCostRank(policy::PolicyKind pk)
+{
+    switch (pk) {
+      case policy::PolicyKind::Mlp: return 0;
+      case policy::PolicyKind::Parrot: return 1;
+      case policy::PolicyKind::Belady: return 3;
+      default: return 2;
+    }
+}
+
+/**
+ * Workload task: trace generation, LLC capture and the oracle. The
+ * db.build_workload failpoint fires after the work, when the entry
+ * tasks of this workload are already waiting on it.
+ */
+void
+buildWorkload(WorkloadArtifacts &a, const BuildOptions &options)
+{
+    const auto cpu_trace =
+        options.accesses_override
+            ? a.model->generate(options.accesses_override)
+            : a.model->generate();
+    a.stream = sim::captureLlcStream(cpu_trace, options.hierarchy);
+    a.oracle = sim::computeOracle(a.stream);
+    fail::maybeThrow("db.build_workload");
+}
+
+/**
+ * Entry task: replay the workload's stream under one policy into a
+ * table, then construct the shard, which builds its StatsExpert and
+ * formats the metadata string from it.
+ */
+std::unique_ptr<TraceShard>
+buildShard(const WorkloadArtifacts &a, policy::PolicyKind pk,
+           const BuildOptions &options)
 {
     std::unique_ptr<policy::ReplacementPolicy> pol;
     if (pk == policy::PolicyKind::Parrot) {
         auto parrot = std::make_unique<policy::ParrotPolicy>();
         parrot->setModel(
-            sim::ParrotModelBuilder::train(stream, oracle));
+            sim::ParrotModelBuilder::train(a.stream, a.oracle));
         pol = std::move(parrot);
     } else {
         pol = policy::makePolicy(pk);
     }
 
     TraceEntry entry;
-    entry.workload = workload_name;
+    entry.workload = a.model->info().name;
     entry.policy = policy::policyName(pk);
-    entry.table.setSymbols(symbols);
-    entry.table.setLineBytes(cfg.llc.line_bytes);
-    entry.table.setHistoryLen(history_len);
-    entry.table.reserve(stream.size());
-
-    std::deque<PcAddr> window;
-    std::vector<PcAddr> history;
-    sim::LlcReplayer replayer(cfg.llc, std::move(pol));
-    replayer.replay(
-        stream, &oracle,
-        [&](const sim::ReplayEvent &ev) {
-            history.assign(window.begin(), window.end());
-            entry.table.append(ev, history);
-            window.push_back(PcAddr{ev.pc, ev.address});
-            if (window.size() > history_len)
-                window.pop_front();
-        });
-
-    const StatsExpert expert(entry.table);
-    entry.metadata = buildMetadataString(expert);
-
     std::ostringstream desc;
-    desc << "Workload: " << workload_desc << "\nReplacement Policy: "
-         << policy::policyDescription(pk);
+    desc << "Workload: " << a.model->info().description
+         << "\nReplacement Policy: " << policy::policyDescription(pk);
     entry.description = desc.str();
-    return entry;
+
+    TraceTable &table = entry.table;
+    table.setSymbols(a.symbols);
+    table.beginBuild(a.stream.size(), options.hierarchy.llc,
+                     options.history_len);
+    sim::LlcReplayer replayer(options.hierarchy.llc, std::move(pol));
+    replayer.replay(a.stream, &a.oracle,
+                    [&](const sim::ReplayEvent &ev) { table.append(ev); });
+    table.endBuild();
+
+    std::string key = shardKey(entry.workload, entry.policy);
+    return std::make_unique<TraceShard>(std::move(key), std::move(entry));
 }
 
 } // namespace
@@ -110,85 +123,55 @@ buildDatabase(const BuildOptions &options)
             : std::max<std::size_t>(
                   std::thread::hardware_concurrency(), 1);
 
+    // Symbol registration mutates the database: done here, before
+    // any task runs, so every entry task gets its final pointer.
     TraceDatabase db;
-    if (threads <= 1) {
-        // Sequential path: one workload's artifacts live at a time,
-        // so peak memory stays at a single stream.
-        for (const auto wk : options.workloads) {
-            auto model = trace::makeWorkload(wk);
-            const trace::SymbolTable *symbols =
-                db.addSymbols(model->info().name, model->symbols());
-            const auto cpu_trace =
-                options.accesses_override
-                    ? model->generate(options.accesses_override)
-                    : model->generate();
-            const auto stream =
-                sim::captureLlcStream(cpu_trace, options.hierarchy);
-            const auto oracle = sim::computeOracle(stream);
-            for (const auto pk : options.policies) {
-                db.addEntry(buildEntry(
-                    model->info().name, model->info().description, pk,
-                    stream, oracle, options.hierarchy, symbols,
-                    options.history_len));
-            }
-        }
-        return db;
-    }
-
-    // Parallel path. Every task is a pure function of its inputs
-    // (trace synthesis, replay, and Parrot training all draw from
-    // deterministic keyed generators), so the result is byte-identical
-    // to the sequential build; only wall-clock changes. Peak memory
-    // holds every workload's LLC stream at once — the price of the
-    // workload-level fan-out.
-    struct WorkloadArtifacts
-    {
-        std::string name;
-        std::string description;
-        trace::SymbolTable symbols;
-        std::vector<sim::LlcAccess> stream;
-        sim::OracleInfo oracle;
-    };
-
-    // Stage 1: per-workload trace generation, LLC capture, and oracle
-    // computation — done once per workload and shared read-only by
-    // every policy replay below.
     const std::size_t n_workloads = options.workloads.size();
     std::vector<WorkloadArtifacts> arts(n_workloads);
-    parallelFor(n_workloads, threads, [&](std::size_t wi) {
-        auto model = trace::makeWorkload(options.workloads[wi]);
-        WorkloadArtifacts &a = arts[wi];
-        a.name = model->info().name;
-        a.description = model->info().description;
-        a.symbols = model->symbols();
-        const auto cpu_trace =
-            options.accesses_override
-                ? model->generate(options.accesses_override)
-                : model->generate();
-        a.stream = sim::captureLlcStream(cpu_trace, options.hierarchy);
-        a.oracle = sim::computeOracle(a.stream);
-    });
+    for (std::size_t wi = 0; wi < n_workloads; ++wi) {
+        arts[wi].model = trace::makeWorkload(options.workloads[wi]);
+        arts[wi].symbols = db.addSymbols(arts[wi].model->info().name,
+                                         arts[wi].model->symbols());
+    }
 
-    // Symbol registration mutates the database: single-threaded, in
-    // workload order, before any entry references the tables.
-    std::vector<const trace::SymbolTable *> symbols(n_workloads);
-    for (std::size_t wi = 0; wi < n_workloads; ++wi)
-        symbols[wi] = db.addSymbols(arts[wi].name,
-                                    std::move(arts[wi].symbols));
+    std::vector<EntryTask> entries;
+    for (std::size_t wi = 0; wi < n_workloads; ++wi) {
+        for (const auto pk : options.policies)
+            entries.push_back(EntryTask{wi, pk});
+    }
+    std::stable_sort(entries.begin(), entries.end(),
+                     [](const EntryTask &x, const EntryTask &y) {
+                         return entryCostRank(x.policy) <
+                                entryCostRank(y.policy);
+                     });
 
-    // Stage 2: one task per (workload, policy) pair.
-    const std::size_t n_policies = options.policies.size();
-    std::vector<TraceEntry> entries(n_workloads * n_policies);
-    parallelFor(entries.size(), threads, [&](std::size_t t) {
-        const WorkloadArtifacts &a = arts[t / n_policies];
-        entries[t] = buildEntry(a.name, a.description,
-                                options.policies[t % n_policies],
-                                a.stream, a.oracle, options.hierarchy,
-                                symbols[t / n_policies],
-                                options.history_len);
+    // One task list: the workload tasks, then the entry tasks. Every
+    // task is a pure function of its inputs (trace synthesis, replay
+    // and Parrot training draw from deterministic keyed generators),
+    // so the database is identical at any thread count. parallelFor
+    // hands indices out in order, so every workload task has started
+    // before any entry task waits on one; a failed workload task
+    // fails its `ready`, and the entry tasks waiting on it rethrow
+    // instead of blocking.
+    std::vector<std::unique_ptr<TraceShard>> shards(entries.size());
+    parallelFor(n_workloads + entries.size(), threads, [&](std::size_t t) {
+        if (t < n_workloads) {
+            try {
+                buildWorkload(arts[t], options);
+            } catch (...) {
+                arts[t].done.set_exception(std::current_exception());
+                throw;
+            }
+            arts[t].done.set_value();
+            return;
+        }
+        const EntryTask &e = entries[t - n_workloads];
+        const WorkloadArtifacts &a = arts[e.workload];
+        a.ready.get();
+        shards[t - n_workloads] = buildShard(a, e.policy, options);
     });
-    for (auto &entry : entries)
-        db.addEntry(std::move(entry));
+    for (auto &shard : shards)
+        db.addShard(std::move(shard));
     return db;
 }
 

@@ -32,18 +32,16 @@ struct BuildOptions
     /** Recent-access-history window stored per row. */
     std::uint32_t history_len = 4;
     /**
-     * Worker threads for the parallel build path: trace generation
-     * and oracle computation run once per workload, replays run once
-     * per (workload, policy) pair, both fanned out on a small pool.
-     * The output is byte-identical to the sequential build (tables,
-     * metadata strings, key ordering). 1 = sequential; 0 = one thread
-     * per hardware core.
+     * Worker threads for the build's one task list: a workload task
+     * per workload (trace generation, LLC capture, oracle), then an
+     * entry task per (workload, policy) pair (replay, table, shard
+     * and its StatsExpert), longest first, each waiting only for its
+     * own workload's task. The output is byte-identical at every
+     * thread count (tables, metadata strings, key ordering).
+     * 1 = one thread; 0 = one thread per hardware core.
      */
     std::size_t build_threads = 1;
 };
-
-/** Build the metadata summary string from a computed expert. */
-std::string buildMetadataString(const StatsExpert &expert);
 
 /** Build the full database per options. */
 TraceDatabase buildDatabase(const BuildOptions &options = BuildOptions{});

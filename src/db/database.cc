@@ -29,13 +29,10 @@ TraceDatabase::symbolsFor(const std::string &workload) const
 }
 
 void
-TraceDatabase::addEntry(TraceEntry entry)
+TraceDatabase::addShard(std::unique_ptr<TraceShard> shard)
 {
-    std::string key = keyFor(entry.workload, entry.policy);
-    // Replacing the whole shard discards any previously built expert;
-    // a once_flag cannot be re-armed in place.
-    auto shard = std::make_unique<TraceShard>(key, std::move(entry));
-    shards_[std::move(key)] = std::move(shard);
+    const std::string key = shard->key();
+    shards_[key] = std::move(shard);
 }
 
 const TraceEntry *

@@ -9,11 +9,11 @@
  * symbol tables that back the string columns.
  *
  * Internally the database is partitioned into per-(workload, policy)
- * TraceShards (see db/shard.hh): each shard owns its entry and its
- * lazily built StatsExpert, so concurrent readers never contend on —
- * or race over — a global expert cache. Mutation (addEntry/addSymbols)
- * is build-phase only: it is not synchronized against readers, and
- * views handed out by shard()/shards() are invalidated by it.
+ * TraceShards (see db/shard.hh): each shard owns its entry and the
+ * StatsExpert built with it, so concurrent readers share immutable
+ * experts with no global cache. Mutation (addShard/addSymbols) is
+ * build-phase only: it is not synchronized against readers, and views
+ * handed out by shard()/shards() are invalidated by it.
  */
 
 #ifndef CACHEMIND_DB_DATABASE_HH
@@ -51,13 +51,13 @@ class TraceDatabase
         const;
 
     /**
-     * Add an entry (moves it in). Replacing an existing key swaps in
-     * a whole new shard: TraceEntry pointers, expert pointers, and
-     * shard views previously obtained for that key dangle afterwards.
-     * Mutation is build-phase only — never add entries while engines
+     * Add a shard under its key. Replacing an existing key swaps in
+     * the new shard: TraceEntry pointers, expert pointers, and shard
+     * views previously obtained for that key dangle afterwards.
+     * Mutation is build-phase only — never add shards while engines
      * or retrievers hold views of this database.
      */
-    void addEntry(TraceEntry entry);
+    void addShard(std::unique_ptr<TraceShard> shard);
 
     /** Lookup by key; nullptr if absent. */
     const TraceEntry *find(const std::string &key) const;
@@ -67,10 +67,9 @@ class TraceDatabase
                            const std::string &policy) const;
 
     /**
-     * Lazily built statistics expert for an entry key. Thread-safe:
-     * the expert is constructed once under the owning shard's
-     * once_flag, so concurrent askBatch workers on the same (or
-     * sibling) keys never race.
+     * Statistics expert for an entry key, built with its shard and
+     * immutable, so concurrent readers share it freely; nullptr if
+     * absent.
      */
     const StatsExpert *statsFor(const std::string &key) const;
 
@@ -94,7 +93,7 @@ class TraceDatabase
     std::size_t size() const { return shards_.size(); }
 
   private:
-    /** unique_ptr: shards hold a once_flag and need stable addresses. */
+    /** unique_ptr: views and pointers handed out hold shard addresses. */
     std::map<std::string, std::unique_ptr<TraceShard>> shards_;
     std::map<std::string, std::unique_ptr<trace::SymbolTable>> symbols_;
 };

@@ -15,13 +15,11 @@ shardKey(const std::string &workload, const std::string &policy)
     return workload + "_evictions_" + policy;
 }
 
-const StatsExpert *
-TraceShard::stats() const
+TraceShard::TraceShard(std::string key, TraceEntry entry)
+    : key_(std::move(key)), entry_(std::move(entry)),
+      expert_(entry_.table)
 {
-    std::call_once(expert_once_, [this] {
-        expert_ = std::make_unique<StatsExpert>(entry_.table);
-    });
-    return expert_.get();
+    entry_.metadata = buildMetadataString(expert_);
 }
 
 namespace {

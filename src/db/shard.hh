@@ -4,10 +4,10 @@
  * organization, partitioned).
  *
  * A TraceShard is the unit of ownership behind one
- * `<workload>_evictions_<policy>` key: the TraceEntry, the lazily
- * built StatsExpert (constructed under a per-shard std::once_flag so
- * concurrent askBatch workers race-freely share one expert), and the
- * workload's shared symbol table reached through the entry's table.
+ * `<workload>_evictions_<policy>` key: the TraceEntry, its
+ * StatsExpert (built with the shard, so concurrent readers share one
+ * immutable expert with no synchronization), and the workload's
+ * shared symbol table reached through the entry's table.
  *
  * TraceShardView is a cheap handle to one shard. ShardSet is an
  * immutable, key-sorted view over many shards — the read surface that
@@ -19,8 +19,6 @@
 #ifndef CACHEMIND_DB_SHARD_HH
 #define CACHEMIND_DB_SHARD_HH
 
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -40,7 +38,10 @@ std::string shardKey(const std::string &workload,
 struct TraceEntry
 {
     TraceTable table;
-    /** Free-form whole-trace summary string (paper's `metadata`). */
+    /**
+     * Whole-trace summary string (paper's `metadata`), formatted by
+     * the owning TraceShard from its StatsExpert.
+     */
     std::string metadata;
     /** Workload + policy description (paper's `description`). */
     std::string description;
@@ -49,18 +50,15 @@ struct TraceEntry
 };
 
 /**
- * Unit of ownership for one (workload, policy) pair. Shards are
- * immutable after construction except for the expert cache, which is
- * built exactly once under the once_flag — safe to hit from any
- * number of threads.
+ * Unit of ownership for one (workload, policy) pair. The constructor
+ * builds the shard's StatsExpert over the entry's table and formats
+ * the entry's metadata from it; after that the shard is immutable
+ * except for the table's lazily built postings index.
  */
 class TraceShard
 {
   public:
-    TraceShard(std::string key, TraceEntry entry)
-        : key_(std::move(key)), entry_(std::move(entry))
-    {
-    }
+    TraceShard(std::string key, TraceEntry entry);
     TraceShard(const TraceShard &) = delete;
     TraceShard &operator=(const TraceShard &) = delete;
 
@@ -75,14 +73,14 @@ class TraceShard
         return entry_.table.symbols();
     }
 
-    /** The shard's statistics expert, built once, thread-safe. */
-    const StatsExpert *stats() const;
+    /** The shard's statistics expert, built with the shard. */
+    const StatsExpert *stats() const { return &expert_; }
 
     /**
-     * The shard's postings index, built once under the table's
-     * once_flag (same lazy pattern as stats()), thread-safe. Returns
-     * nullptr when the one-time build failed — callers degrade to the
-     * reference scan path for this shard.
+     * The shard's postings index, built lazily once under the
+     * table's once_flag, thread-safe. Returns nullptr when the
+     * one-time build failed — callers degrade to the reference scan
+     * path for this shard.
      */
     const TraceIndex *index() const
     {
@@ -92,8 +90,7 @@ class TraceShard
   private:
     std::string key_;
     TraceEntry entry_;
-    mutable std::once_flag expert_once_;
-    mutable std::unique_ptr<StatsExpert> expert_;
+    StatsExpert expert_;
 };
 
 /**
@@ -177,7 +174,7 @@ class ShardSet
     const TraceEntry *find(const std::string &workload,
                            const std::string &policy) const;
 
-    /** Thread-safe lazily built expert; nullptr if absent. */
+    /** The shard's expert; nullptr if absent. */
     const StatsExpert *statsFor(const std::string &key) const;
 
     /** Thread-safe lazily built postings index; nullptr if absent. */

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
 
 #include "base/stats_util.hh"
+#include "base/str.hh"
 
 namespace cachemind::db {
 
@@ -19,7 +21,7 @@ struct PcAccum
 
 } // namespace
 
-StatsExpert::StatsExpert(const TraceTable &table) : table_(table)
+StatsExpert::StatsExpert(const TraceTable &table)
 {
     std::map<std::uint64_t, PcAccum> accum;
 
@@ -191,6 +193,42 @@ StatsExpert::topPcs(std::size_t n, PcOrder order) const
     if (pcs.size() > n)
         pcs.resize(n);
     return pcs;
+}
+
+std::string
+buildMetadataString(const StatsExpert &expert)
+{
+    const TraceSummary &s = expert.summary();
+    const std::uint64_t misses = s.misses;
+    const double cap_pct =
+        misses ? 100.0 * static_cast<double>(s.capacity) /
+                     static_cast<double>(misses)
+               : 0.0;
+    const double conf_pct =
+        misses ? 100.0 * static_cast<double>(s.conflict) /
+                     static_cast<double>(misses)
+               : 0.0;
+    const double comp_pct =
+        misses ? 100.0 * static_cast<double>(s.compulsory) /
+                     static_cast<double>(misses)
+               : 0.0;
+
+    std::ostringstream os;
+    os << "Cache Performance Summary: " << s.accesses
+       << " total accesses, " << s.misses << " total misses, "
+       << str::percent(s.missRate()) << " miss rate, "
+       << str::fixed(comp_pct) << "% compulsory misses, "
+       << str::fixed(cap_pct) << "% capacity misses, "
+       << str::fixed(conf_pct) << "% conflict misses, " << s.evictions
+       << " total evictions, " << s.bypasses << " bypassed fills, "
+       << s.wrong_evictions << " ("
+       << str::fixed(s.wrongEvictionPct())
+       << "%) wrong evictions where evicted line has lower reuse "
+          "distance. The correlation between accessed address recency "
+          "and cache misses is "
+       << str::fixed(s.recency_miss_correlation) << ". "
+       << s.unique_pcs << " unique program counters.";
+    return os.str();
 }
 
 } // namespace cachemind::db

@@ -11,6 +11,7 @@
 
 #include <map>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "db/table.hh"
@@ -137,11 +138,16 @@ class StatsExpert
     std::vector<PcStats> topPcs(std::size_t n, PcOrder order) const;
 
   private:
-    const TraceTable &table_;
     std::map<std::uint64_t, PcStats> pc_stats_;
     std::map<std::uint32_t, SetStats> set_stats_;
     TraceSummary summary_;
 };
+
+/**
+ * The paper's `metadata` summary string of a trace, formatted from its
+ * expert's whole-trace summary.
+ */
+std::string buildMetadataString(const StatsExpert &expert);
 
 } // namespace cachemind::db
 

@@ -59,20 +59,37 @@ TraceTable::indexIfBuilt() const
 }
 
 void
-TraceTable::reserve(std::size_t n)
+TraceTable::beginBuild(std::size_t rows, const sim::CacheConfig &llc,
+                       std::uint32_t history_len)
 {
-    pc_id_.reserve(n);
-    addr_id_.reserve(n);
-    set_.reserve(n);
-    flags_.reserve(n);
-    miss_type_.reserve(n);
-    reuse_.reserve(n);
-    recency_.reserve(n);
-    evicted_reuse_.reserve(n);
-    evicted_line_id_.reserve(n);
-    evicted_pc_id_.reserve(n);
-    snap_off_.reserve(n + 1);
-    score_off_.reserve(n + 1);
+    line_bytes_ = llc.line_bytes;
+    history_len_ = history_len;
+    pc_id_.reserve(rows);
+    addr_id_.reserve(rows);
+    set_.reserve(rows);
+    flags_.reserve(rows);
+    miss_type_.reserve(rows);
+    reuse_.reserve(rows);
+    recency_.reserve(rows);
+    evicted_reuse_.reserve(rows);
+    evicted_line_id_.reserve(rows);
+    evicted_pc_id_.reserve(rows);
+    snap_off_.reserve(rows + 1);
+    score_off_.reserve(rows + 1);
+    snap_pc_id_.reserve(rows * llc.ways);
+    snap_line_id_.reserve(rows * llc.ways);
+    scores_.reserve(rows * llc.ways);
+    ways_ = llc.ways;
+    snap_cache_.resize(static_cast<std::size_t>(llc.sets) * llc.ways);
+    snap_filled_.assign(llc.sets, 0);
+}
+
+void
+TraceTable::endBuild()
+{
+    ways_ = 0;
+    std::vector<SnapSlot>().swap(snap_cache_);
+    std::vector<std::uint32_t>().swap(snap_filled_);
 }
 
 namespace {
@@ -87,15 +104,12 @@ toSigned(std::uint64_t v)
 } // namespace
 
 void
-TraceTable::append(const sim::ReplayEvent &ev,
-                   const std::vector<PcAddr> &history)
+TraceTable::append(const sim::ReplayEvent &ev)
 {
     if (snap_off_.empty()) {
         snap_off_.push_back(0);
         score_off_.push_back(0);
     }
-    CM_ASSERT(history.size() <= history_len_,
-              "history window wider than the table's history column");
 
     pc_id_.push_back(pcs_.intern(ev.pc));
     addr_id_.push_back(addrs_.intern(ev.address));
@@ -121,9 +135,32 @@ TraceTable::append(const sim::ReplayEvent &ev,
     evicted_pc_id_.push_back(ev.has_victim ? pcs_.intern(ev.evicted_pc)
                                            : 0);
 
-    for (const auto &entry : ev.snapshot) {
-        snap_pc_id_.push_back(pcs_.intern(entry.pc));
-        snap_line_id_.push_back(lines_.intern(entry.line));
+    if (snap_cache_.empty()) {
+        for (const auto &entry : ev.snapshot) {
+            snap_pc_id_.push_back(pcs_.intern(entry.pc));
+            snap_line_id_.push_back(lines_.intern(entry.line));
+        }
+    } else {
+        CM_ASSERT(ev.set < snap_filled_.size() &&
+                      ev.snapshot.size() <= ways_,
+                  "snapshot outside the LLC geometry given to beginBuild");
+        SnapSlot *slots =
+            &snap_cache_[static_cast<std::size_t>(ev.set) * ways_];
+        std::uint32_t &filled = snap_filled_[ev.set];
+        const auto n = static_cast<std::uint32_t>(ev.snapshot.size());
+        for (std::uint32_t k = 0; k < n; ++k) {
+            const sim::SnapshotEntry &entry = ev.snapshot[k];
+            SnapSlot &slot = slots[k];
+            if (k >= filled || slot.pc != entry.pc ||
+                slot.line != entry.line) {
+                slot = SnapSlot{entry.pc, entry.line,
+                                pcs_.intern(entry.pc),
+                                lines_.intern(entry.line)};
+            }
+            snap_pc_id_.push_back(slot.pc_id);
+            snap_line_id_.push_back(slot.line_id);
+        }
+        filled = std::max(filled, n);
     }
     snap_off_.push_back(static_cast<std::uint32_t>(snap_pc_id_.size()));
 
@@ -132,19 +169,6 @@ TraceTable::append(const sim::ReplayEvent &ev,
             std::min<std::uint64_t>(score, 0xffffffffULL)));
     }
     score_off_.push_back(static_cast<std::uint32_t>(scores_.size()));
-
-    std::uint8_t count = 0;
-    for (const auto &h : history) {
-        hist_pc_id_.push_back(pcs_.intern(h.pc));
-        hist_addr_id_.push_back(addrs_.intern(h.address));
-        ++count;
-    }
-    // Pad so the pool stays fixed-width per row.
-    for (std::uint32_t i = count; i < history_len_; ++i) {
-        hist_pc_id_.push_back(0);
-        hist_addr_id_.push_back(0);
-    }
-    hist_count_.push_back(count);
 }
 
 std::uint64_t
@@ -345,15 +369,9 @@ TraceTable::row(std::size_t i) const
     for (std::uint32_t k = score_off_[i]; k < score_off_[i + 1]; ++k)
         r.cache_line_eviction_scores.push_back(scores_[k]);
 
-    if (history_len_ > 0) {
-        const std::size_t base =
-            static_cast<std::size_t>(i) * history_len_;
-        for (std::uint8_t k = 0; k < hist_count_[i]; ++k) {
-            r.recent_access_history.push_back(
-                PcAddr{pcs_[hist_pc_id_[base + k]],
-                       addrs_[hist_addr_id_[base + k]]});
-        }
-    }
+    for (std::size_t j = i - std::min<std::size_t>(i, history_len_);
+         j < i; ++j)
+        r.recent_access_history.push_back(PcAddr{pcAt(j), addressAt(j)});
     return r;
 }
 

@@ -99,23 +99,30 @@ class TraceTable
     }
     const trace::SymbolTable *symbols() const { return symbols_; }
 
-    /** Line size used to render line base addresses. */
-    void setLineBytes(std::uint32_t bytes) { line_bytes_ = bytes; }
+    /**
+     * Prepare the table for `rows` appends of events replayed through
+     * `llc` (whose line size renders line base addresses), keeping `history_len` previous rows per history cell.
+     * Reserves every column, the snapshot and score pools at `ways`
+     * entries per row (a snapshot holds at most one entry per way),
+     * and allocates the build-only per-set snapshot cache that lets
+     * append() skip re-interning unchanged ways. endBuild() frees the
+     * cache.
+     */
+    void beginBuild(std::size_t rows, const sim::CacheConfig &llc,
+                    std::uint32_t history_len);
 
     /**
-     * Width of the recent-access-history column: every row stores up
-     * to this many (pc, address) pairs. Set before the first append.
+     * Append one replay event. A snapshot entry is interned only when
+     * it differs from the same position of that set's previous
+     * snapshot; an unchanged one reuses the ids interned then, so no
+     * skipped intern could have created an id and every dictionary
+     * stays in first-seen order. Without beginBuild() every entry is
+     * interned.
      */
-    void setHistoryLen(std::uint32_t len) { history_len_ = len; }
+    void append(const sim::ReplayEvent &ev);
 
-    void reserve(std::size_t n);
-
-    /**
-     * Append one replay event; `history` is the recent-access window
-     * (most recent last) maintained by the builder.
-     */
-    void append(const sim::ReplayEvent &ev,
-                const std::vector<PcAddr> &history);
+    /** Free the build-only snapshot cache; no append follows. */
+    void endBuild();
 
     std::size_t size() const { return pc_id_.size(); }
     bool empty() const { return pc_id_.empty(); }
@@ -187,6 +194,21 @@ class TraceTable
     std::optional<std::uint32_t> pcIdOf(std::uint64_t pc) const;
     /** Dictionary id for an address value; nullopt when absent. */
     std::optional<std::uint32_t> addrIdOf(std::uint64_t address) const;
+
+    /** Dictionary keys by id (first-seen order): PCs, addresses and
+     *  line numbers. */
+    const std::vector<std::uint64_t> &pcKeys() const
+    {
+        return pcs_.keys();
+    }
+    const std::vector<std::uint64_t> &addrKeys() const
+    {
+        return addrs_.keys();
+    }
+    const std::vector<std::uint64_t> &lineKeys() const
+    {
+        return lines_.keys();
+    }
 
     /**
      * Row indices matching optional pc/address filters, ascending.
@@ -271,11 +293,23 @@ class TraceTable
     std::vector<std::uint32_t> score_off_;
     std::vector<std::uint32_t> scores_;
 
-    // History pool (fixed-width window per row).
+    // History cells are not stored: row i's history is rows
+    // max(0, i - history_len_)..i-1, read back from the core columns.
     std::uint32_t history_len_ = 0;
-    std::vector<std::uint32_t> hist_pc_id_;
-    std::vector<std::uint32_t> hist_addr_id_;
-    std::vector<std::uint8_t> hist_count_;
+
+    /** One way of a set's previous snapshot, with its interned ids. */
+    struct SnapSlot
+    {
+        std::uint64_t pc;
+        std::uint64_t line;
+        std::uint32_t pc_id;
+        std::uint32_t line_id;
+    };
+    // Build-only snapshot cache (beginBuild .. endBuild): ways_ slots
+    // per set, of which snap_filled_[set] hold interned entries.
+    std::uint32_t ways_ = 0;
+    std::vector<SnapSlot> snap_cache_;
+    std::vector<std::uint32_t> snap_filled_;
 
     /**
      * Lazily built postings index. Heap-allocated so the table stays

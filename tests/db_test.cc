@@ -2,11 +2,13 @@
  * @file
  * Tests for the trace database: table storage round-trip, statistics
  * expert, metadata strings, end-to-end building, shard views, the
- * thread safety of the lazy expert and postings-index caches, the
- * index-vs-reference-scan equivalence of filters and listings, the
- * flat dictionary against a std::unordered_map reference, the
- * byte-identical equivalence of the parallel build to the sequential
- * one, and the build's digest pinned to a recorded value.
+ * thread safety of the shared experts and the lazy postings index,
+ * the index-vs-reference-scan equivalence of filters and listings,
+ * the flat dictionary against a std::unordered_map reference, the
+ * byte-identical equivalence of builds across thread counts, the
+ * build's digest pinned to a recorded value, the history column
+ * against the previous rows, the cached snapshot append against
+ * per-row interning, and a failing workload task.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +18,7 @@
 #include <thread>
 #include <unordered_map>
 
+#include "base/failpoint.hh"
 #include "db/builder.hh"
 #include "db/database.hh"
 #include "db/export.hh"
@@ -24,6 +27,8 @@
 #include "db/shard.hh"
 #include "db/stats_expert.hh"
 #include "db/table.hh"
+#include "policy/parrot.hh"
+#include "sim/llc_replay.hh"
 
 using namespace cachemind;
 using namespace cachemind::db;
@@ -35,9 +40,11 @@ TraceTable
 makeTinyTable()
 {
     TraceTable t;
-    t.setLineBytes(64);
-    t.setHistoryLen(4);
-    std::vector<PcAddr> history;
+    sim::CacheConfig llc;
+    llc.sets = 4;
+    llc.ways = 1;
+    llc.line_bytes = 64;
+    t.beginBuild(10, llc, 4);
     for (std::uint64_t i = 0; i < 10; ++i) {
         sim::ReplayEvent ev;
         ev.index = i;
@@ -59,11 +66,9 @@ makeTinyTable()
         }
         ev.snapshot = {sim::SnapshotEntry{0xA00, ev.line}};
         ev.scores = {1, 2, 3, 4};
-        t.append(ev, history);
-        history.push_back(PcAddr{ev.pc, ev.address});
-        if (history.size() > 4)
-            history.erase(history.begin());
+        t.append(ev);
     }
+    t.endBuild();
     return t;
 }
 
@@ -355,10 +360,8 @@ TEST(DatabaseTest, StatsForIsThreadSafeOnOverlappingKeys)
     const auto keys = db.keys();
     ASSERT_EQ(keys.size(), 2u);
 
-    // Hammer the lazy expert cache from 8 threads on overlapping (and
-    // identical) keys. Pre-fix, the unsynchronized emplace into the
-    // expert map raced the moment two threads touched sibling keys;
-    // now the per-shard once_flag makes every observation identical.
+    // Hammer the experts from 8 threads on overlapping (and
+    // identical) keys: every observation is the shard's one expert.
     constexpr std::size_t kThreads = 8;
     constexpr std::size_t kIters = 200;
     std::vector<std::vector<const StatsExpert *>> seen(kThreads);
@@ -713,6 +716,197 @@ TEST(BuilderTest, HistoryIsThePreviousRowsOldestFirst)
                     << key << " row " << i << " slot " << j - first;
             }
         }
+    }
+}
+
+namespace {
+
+/**
+ * TraceTable::append as it was before the per-set snapshot cache,
+ * with the fixed-width history: every snapshot entry and every
+ * history cell is interned on every row. Kept verbatim over its own
+ * id and pool columns as the reference the cached append must match
+ * (the other columns are pinned by BuildMatchesPinnedDigest).
+ */
+struct PerRowInterningAppend
+{
+    IdMap pcs_;
+    IdMap addrs_;
+    IdMap lines_;
+    std::vector<std::uint32_t> pc_id_;
+    std::vector<std::uint32_t> addr_id_;
+    std::vector<std::uint32_t> evicted_line_id_;
+    std::vector<std::uint32_t> evicted_pc_id_;
+    std::vector<std::uint32_t> snap_off_;
+    std::vector<std::uint32_t> snap_pc_id_;
+    std::vector<std::uint32_t> snap_line_id_;
+    std::vector<std::uint32_t> score_off_;
+    std::vector<std::uint32_t> scores_;
+    std::uint32_t history_len_ = 0;
+    std::vector<std::uint32_t> hist_pc_id_;
+    std::vector<std::uint32_t> hist_addr_id_;
+    std::vector<std::uint8_t> hist_count_;
+
+    void
+    append(const sim::ReplayEvent &ev, const std::vector<PcAddr> &history)
+    {
+        if (snap_off_.empty()) {
+            snap_off_.push_back(0);
+            score_off_.push_back(0);
+        }
+        pc_id_.push_back(pcs_.intern(ev.pc));
+        addr_id_.push_back(addrs_.intern(ev.address));
+        evicted_line_id_.push_back(
+            ev.has_victim ? lines_.intern(ev.evicted_line) : 0);
+        evicted_pc_id_.push_back(ev.has_victim ? pcs_.intern(ev.evicted_pc)
+                                               : 0);
+
+        for (const auto &entry : ev.snapshot) {
+            snap_pc_id_.push_back(pcs_.intern(entry.pc));
+            snap_line_id_.push_back(lines_.intern(entry.line));
+        }
+        snap_off_.push_back(static_cast<std::uint32_t>(snap_pc_id_.size()));
+
+        for (const auto score : ev.scores) {
+            scores_.push_back(static_cast<std::uint32_t>(
+                std::min<std::uint64_t>(score, 0xffffffffULL)));
+        }
+        score_off_.push_back(static_cast<std::uint32_t>(scores_.size()));
+
+        std::uint8_t count = 0;
+        for (const auto &h : history) {
+            hist_pc_id_.push_back(pcs_.intern(h.pc));
+            hist_addr_id_.push_back(addrs_.intern(h.address));
+            ++count;
+        }
+        // Pad so the pool stays fixed-width per row.
+        for (std::uint32_t i = count; i < history_len_; ++i) {
+            hist_pc_id_.push_back(0);
+            hist_addr_id_.push_back(0);
+        }
+        hist_count_.push_back(count);
+    }
+};
+
+/**
+ * Replay every (workload, policy) pair of `opts` into the reference
+ * append, with the window the builder used to keep, and check that
+ * the built database's table has the same dictionaries (same keys in
+ * the same first-seen order) and, row by row, the same ids, snapshot,
+ * score and history cells and victim ids.
+ */
+void
+expectBuildMatchesPerRowInterning(const BuildOptions &opts)
+{
+    const auto db = buildDatabase(opts);
+    const sim::CacheConfig &llc = opts.hierarchy.llc;
+    for (const auto wk : opts.workloads) {
+        const auto model = trace::makeWorkload(wk);
+        const auto stream = sim::captureLlcStream(
+            opts.accesses_override ? model->generate(opts.accesses_override)
+                                   : model->generate(),
+            opts.hierarchy);
+        const auto oracle = sim::computeOracle(stream);
+        for (const auto pk : opts.policies) {
+            std::unique_ptr<policy::ReplacementPolicy> pol;
+            if (pk == policy::PolicyKind::Parrot) {
+                auto parrot = std::make_unique<policy::ParrotPolicy>();
+                parrot->setModel(
+                    sim::ParrotModelBuilder::train(stream, oracle));
+                pol = std::move(parrot);
+            } else {
+                pol = policy::makePolicy(pk);
+            }
+            PerRowInterningAppend ref;
+            ref.history_len_ = opts.history_len;
+            std::vector<PcAddr> window;
+            sim::LlcReplayer(llc, std::move(pol))
+                .replay(stream, &oracle, [&](const sim::ReplayEvent &ev) {
+                    ref.append(ev, window);
+                    window.push_back(PcAddr{ev.pc, ev.address});
+                    if (window.size() > opts.history_len)
+                        window.erase(window.begin());
+                });
+
+            const std::string key = TraceDatabase::keyFor(
+                model->info().name, policy::policyName(pk));
+            ASSERT_NE(db.find(key), nullptr) << key;
+            const TraceTable &t = db.find(key)->table;
+            ASSERT_EQ(t.pcKeys(), ref.pcs_.keys()) << key;
+            ASSERT_EQ(t.addrKeys(), ref.addrs_.keys()) << key;
+            ASSERT_EQ(t.lineKeys(), ref.lines_.keys()) << key;
+            ASSERT_EQ(t.size(), ref.pc_id_.size()) << key;
+            // With equal dictionaries, equal values are equal ids.
+            for (std::size_t i = 0; i < t.size(); ++i) {
+                ASSERT_EQ(t.pcAt(i), ref.pcs_[ref.pc_id_[i]]) << key << i;
+                ASSERT_EQ(t.addressAt(i), ref.addrs_[ref.addr_id_[i]])
+                    << key << " row " << i;
+                if (t.hasVictimAt(i)) {
+                    ASSERT_EQ(t.evictedPcAt(i),
+                              ref.pcs_[ref.evicted_pc_id_[i]])
+                        << key << " row " << i;
+                    ASSERT_EQ(t.evictedAddressAt(i),
+                              ref.lines_[ref.evicted_line_id_[i]] *
+                                  llc.line_bytes)
+                        << key << " row " << i;
+                }
+                const AccessRow row = t.row(i);
+                std::vector<PcAddr> snap;
+                for (auto k = ref.snap_off_[i]; k < ref.snap_off_[i + 1]; ++k)
+                    snap.push_back(PcAddr{
+                        ref.pcs_[ref.snap_pc_id_[k]],
+                        ref.lines_[ref.snap_line_id_[k]] * llc.line_bytes});
+                ASSERT_EQ(row.current_cache_lines, snap)
+                    << key << " row " << i;
+                const std::vector<std::uint64_t> scores(
+                    ref.scores_.begin() + ref.score_off_[i],
+                    ref.scores_.begin() + ref.score_off_[i + 1]);
+                ASSERT_EQ(row.cache_line_eviction_scores, scores)
+                    << key << " row " << i;
+                std::vector<PcAddr> history;
+                for (std::size_t k = 0; k < ref.hist_count_[i]; ++k) {
+                    const std::size_t cell = i * ref.history_len_ + k;
+                    history.push_back(
+                        PcAddr{ref.pcs_[ref.hist_pc_id_[cell]],
+                               ref.addrs_[ref.hist_addr_id_[cell]]});
+                }
+                ASSERT_EQ(row.recent_access_history, history)
+                    << key << " row " << i;
+            }
+        }
+    }
+}
+
+} // namespace
+
+TEST(BuilderTest, AppendMatchesPerRowInterningOnTheIdentityBuild)
+{
+    expectBuildMatchesPerRowInterning(identityBuildOptions());
+}
+
+TEST(BuilderTest, AppendMatchesPerRowInterningOnAFullLengthWorkload)
+{
+    BuildOptions opts;
+    opts.workloads = {trace::WorkloadKind::Mcf};
+    opts.policies = {policy::PolicyKind::Lru};
+    expectBuildMatchesPerRowInterning(opts);
+}
+
+TEST(BuilderTest, FailedWorkloadTaskRethrowsWithoutHanging)
+{
+    // Workload tasks that throw must fail the build at any thread
+    // count: the entry tasks already waiting on them (at 4 threads,
+    // one thread is past the workload tasks while they run) rethrow
+    // instead of blocking, every thread is joined, and the next build
+    // succeeds.
+    BuildOptions opts = identityBuildOptions();
+    for (const std::size_t threads : {1u, 4u}) {
+        opts.build_threads = threads;
+        ASSERT_TRUE(fail::armSpec("db.build_workload=error"));
+        EXPECT_THROW(buildDatabase(opts), fail::InjectedFault)
+            << "threads=" << threads;
+        fail::disarmAll();
+        EXPECT_EQ(buildDatabase(opts).size(), 6u) << "threads=" << threads;
     }
 }
 
