@@ -820,14 +820,14 @@ CacheMind::askStream(const RequestContext &ctx)
 }
 
 Result<std::vector<Response>, EngineError>
-CacheMind::askBatchStream(const std::vector<std::string> &questions,
+CacheMind::askBatchStream(const std::vector<RequestContext> &requests,
                           const StreamSink &sink)
 {
     // Same pre-flight validation as askBatch: the concurrent section
     // stays infallible, so error selection cannot depend on
     // scheduling order.
-    for (std::size_t i = 0; i < questions.size(); ++i) {
-        if (str::trim(questions[i]).empty()) {
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+        if (str::trim(requests[i].question).empty()) {
             return EngineError{EngineErrorCode::EmptyQuestion,
                                "batch question #" + std::to_string(i) +
                                    " is empty"};
@@ -835,11 +835,11 @@ CacheMind::askBatchStream(const std::vector<std::string> &questions,
     }
     warmup();
 
-    std::vector<Response> responses(questions.size());
-    std::vector<double> latencies(questions.size(), 0.0);
+    std::vector<Response> responses(requests.size());
+    std::vector<double> latencies(requests.size(), 0.0);
     const std::size_t workers =
         std::min(opts_.batch_workers,
-                 std::max<std::size_t>(questions.size(), 1));
+                 std::max<std::size_t>(requests.size(), 1));
     ensureBatchPool(workers);
     auto &extras = batch_pool_->retrievers;
 
@@ -871,18 +871,35 @@ CacheMind::askBatchStream(const std::vector<std::string> &questions,
         // Claim loop with a cancellation check: once the consumer
         // cancels or a sibling worker fails, producers finish only
         // their in-flight question instead of answering the rest of
-        // the batch nobody will read. The exception barrier mirrors
-        // askStream's: a throwing pipeline fails the channel.
+        // the batch nobody will read. Each request keeps its own
+        // deadline and trace, as in askStream. The exception barrier
+        // mirrors askStream's: a throwing pipeline fails the channel.
+        const RequestContext *req = nullptr;
         try {
             while (!channel.cancelled() && !channel.error()) {
                 const std::size_t i = next.fetch_add(1);
-                if (i >= questions.size())
+                if (i >= requests.size())
                     break;
+                req = &requests[i];
                 Stopwatch timer;
                 double blocked_ms = 0.0;
+                obs::TraceContext tc{req->trace, req->trace_parent};
+                obs::SpanScope root(tc, "ask");
+                const obs::TraceContext rtc = tc.child(root.id());
+                std::uint32_t parse_span_id = 0;
+                query::ParsedQuery parsed;
+                {
+                    obs::SpanScope parse_span(rtc, "parse");
+                    parsed = parseStage(req->question);
+                    parse_span_id = parse_span.id();
+                }
                 responses[i] = answerParsedStreamed(
-                    worker_retriever, parseStage(questions[i]), i,
-                    channel, &blocked_ms, resolveDeadline(0.0));
+                    worker_retriever, parsed, i, channel, &blocked_ms,
+                    resolveDeadline(req->options.deadline_ms), rtc,
+                    parse_span_id);
+                root.end();
+                finishTrace(req->trace, responses[i].bundle.degraded);
+                req = nullptr;
                 // Serving latency only (see askStream).
                 latencies[i] =
                     std::max(timer.milliseconds() - blocked_ms, 0.0);
@@ -892,8 +909,12 @@ CacheMind::askBatchStream(const std::vector<std::string> &questions,
             // cooperative token mid-question: quiet retirement, not a
             // pipeline failure — failing the channel here would
             // masquerade as an engine error afterwards.
+            if (req && req->trace && req->trace->outcome().empty())
+                req->trace->setOutcome("cancelled");
             stats_->recordStreamCancelled();
         } catch (...) {
+            if (req && req->trace && req->trace->outcome().empty())
+                req->trace->setOutcome("error");
             channel.fail(std::current_exception());
         }
         channel.producerDone();
@@ -904,7 +925,7 @@ CacheMind::askBatchStream(const std::vector<std::string> &questions,
     if (auto error = channel.error())
         std::rethrow_exception(error);
 
-    for (std::size_t i = 0; i < questions.size(); ++i) {
+    for (std::size_t i = 0; i < requests.size(); ++i) {
         stats_->record(latencies[i],
                        retrieval::assessQuality(responses[i].bundle));
     }

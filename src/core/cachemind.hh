@@ -161,8 +161,9 @@ struct AskOptions
 /**
  * One request, as a single value: the question, its per-call knobs,
  * an optional correlation id, and an optional trace handle. This is
- * the one argument type accepted by ask/askParsed/askStream/askBatch
- * (and, over the wire, by the serve layer's handleAsk).
+ * the one argument type accepted by ask/askParsed/askStream/askBatch/
+ * askBatchStream (and, over the wire, by the serve layer's
+ * handleAsk).
  *
  * Tracing: traced() attaches a fresh obs::RequestTrace; the engine
  * then records a span per pipeline stage (parse, plan, retrieve with
@@ -333,19 +334,20 @@ class CacheMind
     using StreamSink = std::function<void(const StreamEvent &)>;
 
     /**
-     * Streaming batch: answer independent questions concurrently on
+     * Streaming batch: answer independent requests concurrently on
      * the worker pool while delivering every pipeline event to `sink`
-     * as it happens. Events carry their question index; events of one
-     * question arrive in pipeline order, events of different
-     * questions interleave. The sink runs on the calling thread only
+     * as it happens. Events carry their request index; events of one
+     * request arrive in pipeline order, events of different
+     * requests interleave. The sink runs on the calling thread only
      * — no synchronization needed inside it. Returns the full
      * response vector, byte-identical to askBatch (and therefore to a
-     * sequential ask() loop). If the sink throws, the stream is
-     * cancelled, every worker job is awaited, and the exception is
-     * rethrown.
+     * sequential ask() loop). Per-request deadlines and trace handles
+     * apply individually, as in askBatch. If the sink throws, the
+     * stream is cancelled, every worker job is awaited, and the
+     * exception is rethrown.
      */
     Result<std::vector<Response>, EngineError>
-    askBatchStream(const std::vector<std::string> &questions,
+    askBatchStream(const std::vector<RequestContext> &requests,
                    const StreamSink &sink);
 
     /**

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -21,6 +22,7 @@
 #include <thread>
 #include <vector>
 
+#include "base/failpoint.hh"
 #include "base/str.hh"
 #include "core/cachemind.hh"
 #include "core/stream.hh"
@@ -62,6 +64,14 @@ suiteQuestions()
             " appear in the astar workload under LRU?",
         "Why does Belady outperform LRU in the astar workload?",
     };
+}
+
+/** The same questions as plain requests (no deadline, no trace). */
+std::vector<RequestContext>
+suiteRequests()
+{
+    const auto questions = suiteQuestions();
+    return {questions.begin(), questions.end()};
 }
 
 CacheMind
@@ -485,8 +495,7 @@ TEST(AskBatchStreamTest, ResponsesMatchAskBatchAndEventsComplete)
     auto reference = engineWith("sieve", 1024);
     auto streaming = engineWith("sieve", 1024);
 
-    auto expected = reference.askBatch(
-        std::vector<RequestContext>(questions.begin(), questions.end()));
+    auto expected = reference.askBatch(suiteRequests());
     ASSERT_TRUE(expected.ok());
 
     struct PerQuestion
@@ -496,7 +505,7 @@ TEST(AskBatchStreamTest, ResponsesMatchAskBatchAndEventsComplete)
     };
     std::map<std::size_t, PerQuestion> seen;
     auto got = streaming.askBatchStream(
-        questions, [&](const StreamEvent &event) {
+        suiteRequests(), [&](const StreamEvent &event) {
             seen[event.question].kinds.push_back(event.kind);
             if (event.kind == StreamEvent::Kind::AnswerDelta)
                 seen[event.question].deltas += event.text;
@@ -526,7 +535,7 @@ TEST(AskBatchStreamTest, RejectsEmptyQuestionBeforeStreaming)
     auto engine = engineWith("sieve", 0);
     std::size_t events = 0;
     auto result = engine.askBatchStream(
-        {"valid question", "  "},
+        {RequestContext("valid question"), RequestContext("  ")},
         [&](const StreamEvent &) { ++events; });
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.error().code, EngineErrorCode::EmptyQuestion);
@@ -536,18 +545,59 @@ TEST(AskBatchStreamTest, RejectsEmptyQuestionBeforeStreaming)
 TEST(AskBatchStreamTest, ThrowingSinkCancelsAndPropagates)
 {
     auto engine = engineWith("sieve", 0);
-    const auto questions = suiteQuestions();
+    const auto requests = suiteRequests();
     EXPECT_THROW(
-        engine.askBatchStream(questions,
+        engine.askBatchStream(requests,
                               [](const StreamEvent &) {
                                   throw std::runtime_error("sink");
                               }),
         std::runtime_error);
     // The engine (and its worker pool) survives for the next call.
-    auto result = engine.askBatch(
-        std::vector<RequestContext>(questions.begin(), questions.end()));
+    auto result = engine.askBatch(requests);
     ASSERT_TRUE(result.ok());
-    EXPECT_EQ(result.value().size(), questions.size());
+    EXPECT_EQ(result.value().size(), requests.size());
+}
+
+TEST(AskBatchStreamTest, CarriesPerRequestDeadlinesAndTraces)
+{
+    // Every evidence section stalls 30 ms: the request with a 10 ms
+    // budget degrades, the one without a deadline completes, and each
+    // traced request records its own span tree and outcome.
+    auto engine = engineWith("sieve", 0);
+    const auto questions = suiteQuestions();
+    std::vector<RequestContext> requests{RequestContext(questions[0]),
+                                         RequestContext(questions[1])};
+    requests[0].withDeadlineMs(10.0).withRequestId("bounded").traced();
+    requests[1].withRequestId("unbounded").traced();
+
+    ASSERT_TRUE(fail::armSpec("retrieve.section=delay:30"));
+    auto result =
+        engine.askBatchStream(requests, [](const StreamEvent &) {});
+    fail::disarmAll();
+    ASSERT_TRUE(result.ok());
+    ASSERT_EQ(result.value().size(), 2u);
+    EXPECT_TRUE(result.value()[0].bundle.degraded);
+    EXPECT_FALSE(result.value()[1].bundle.degraded);
+    EXPECT_EQ(requests[0].trace->outcome(), "degraded");
+    EXPECT_EQ(requests[1].trace->outcome(), "done");
+    for (const RequestContext &req : requests) {
+        SCOPED_TRACE(req.request_id);
+        const auto spans = req.trace->spans();
+        const auto find = [&](const std::string &name) {
+            const auto it = std::find_if(
+                spans.begin(), spans.end(),
+                [&](const obs::TraceSpan &s) { return s.name == name; });
+            return it == spans.end() ? nullptr : &*it;
+        };
+        const obs::TraceSpan *ask = find("ask");
+        ASSERT_NE(ask, nullptr);
+        EXPECT_NE(ask->end_ns, 0u);
+        for (const char *stage : {"parse", "retrieve", "generate"}) {
+            const obs::TraceSpan *span = find(stage);
+            ASSERT_NE(span, nullptr) << stage;
+            EXPECT_EQ(span->parent, ask->id) << stage;
+        }
+    }
 }
 
 namespace {
@@ -598,7 +648,7 @@ TEST(AskStreamTest, PipelineExceptionsPropagateLikeBlockingAsk)
             engine.askStream(RequestContext("boom?")).expect("stream");
         EXPECT_THROW(stream.wait(), std::runtime_error);
 
-        EXPECT_THROW(engine.askBatchStream({"a?", "b?", "c?"},
+        EXPECT_THROW(engine.askBatchStream(batch,
                                            [](const StreamEvent &) {}),
                      std::runtime_error);
     }
@@ -710,7 +760,7 @@ TEST(AskBatchStreamTest, StreamingStatsAreRecorded)
     std::uint64_t chunk_events = 0;
     std::uint64_t delta_events = 0;
     auto result = engine.askBatchStream(
-        questions, [&](const StreamEvent &event) {
+        suiteRequests(), [&](const StreamEvent &event) {
             if (event.kind == StreamEvent::Kind::EvidenceChunk)
                 ++chunk_events;
             if (event.kind == StreamEvent::Kind::AnswerDelta)
