@@ -5,19 +5,28 @@
  * on a 4-thread pool, reports both wall-clock times, and verifies the
  * outputs are identical: keys, metadata and description strings, and
  * every column of every table (db::tableDigest). Exits 1 on any
- * mismatch. On a multicore host the parallel build approaches the
- * per-workload critical path; on a single core it degrades to
- * sequential cost plus noise — either way the outputs must match.
+ * mismatch, and, on a host with at least 4 CPUs, when the 4-thread
+ * build is less than kMinSpeedup times faster than the sequential one
+ * measured in the same run. With fewer CPUs the speedup gate is
+ * skipped (the threads would share cores) and the reason is printed.
  */
 
 #include <cstdio>
 #include <string>
+#include <thread>
 
 #include "base/stopwatch.hh"
 #include "db/builder.hh"
 #include "db/export.hh"
 
 using namespace cachemind;
+
+namespace {
+
+/** Least 4-thread speedup over the sequential build on >= 4 CPUs. */
+constexpr double kMinSpeedup = 1.8;
+
+} // namespace
 
 int
 main()
@@ -44,7 +53,8 @@ main()
                 options.policies.size());
     std::printf("sequential (build_threads=1): %10.1f ms\n", seq_ms);
     std::printf("parallel   (build_threads=4): %10.1f ms\n", par_ms);
-    std::printf("speedup: %.2fx\n", par_ms > 0.0 ? seq_ms / par_ms : 0.0);
+    const double speedup = par_ms > 0.0 ? seq_ms / par_ms : 0.0;
+    std::printf("speedup: %.2fx\n", speedup);
 
     // Equivalence check: the parallel build must be byte-identical.
     bool identical = sequential.keys() == parallel.keys();
@@ -63,5 +73,16 @@ main()
         }
     }
     std::printf("outputs identical: %s\n", identical ? "yes" : "NO");
-    return identical ? 0 : 1;
+
+    bool fast_enough = true;
+    const unsigned cpus = std::thread::hardware_concurrency();
+    if (cpus < 4) {
+        std::printf("speedup gate skipped: %u CPUs, the gate needs 4\n",
+                    cpus);
+    } else {
+        fast_enough = speedup >= kMinSpeedup;
+        std::printf("speedup gate (>= %.1fx on %u CPUs): %s\n",
+                    kMinSpeedup, cpus, fast_enough ? "pass" : "FAIL");
+    }
+    return identical && fast_enough ? 0 : 1;
 }
