@@ -3,11 +3,11 @@
  * The trace table's dictionary: 64-bit values (PCs, addresses, lines)
  * to dense ids and back, through a flat open-addressed hash table.
  *
- * The database build interns ~39 values per row (set snapshot,
- * history window, the row's own pc/addr, the victim), nearly all of
- * them already present. A node-based map allocates and frees a node
- * on every such repeat; here a repeat is one hash and a short linear
- * probe, with no allocation. Slots hold only the 32-bit id and the
+ * The database build interns the row's own pc and address, the
+ * victim, and each set-snapshot entry that changed since the set's
+ * previous snapshot, most of them already present. A node-based map
+ * allocates and frees a node on every such repeat; here a repeat is
+ * one hash and a short linear probe, with no allocation. Slots hold only the 32-bit id and the
  * key is compared through the dense id -> value array the table needs
  * anyway, so the index costs 4 bytes per slot. The slot count is a
  * power of two and doubles at 50% load, so probes stay short. Every

@@ -76,6 +76,8 @@ TraceTable::beginBuild(std::size_t rows, const sim::CacheConfig &llc,
     evicted_pc_id_.reserve(rows);
     snap_off_.reserve(rows + 1);
     score_off_.reserve(rows + 1);
+    snap_off_.assign(1, 0);
+    score_off_.assign(1, 0);
     snap_pc_id_.reserve(rows * llc.ways);
     snap_line_id_.reserve(rows * llc.ways);
     scores_.reserve(rows * llc.ways);
@@ -106,11 +108,9 @@ toSigned(std::uint64_t v)
 void
 TraceTable::append(const sim::ReplayEvent &ev)
 {
-    if (snap_off_.empty()) {
-        snap_off_.push_back(0);
-        score_off_.push_back(0);
-    }
-
+    CM_ASSERT(ev.set < snap_filled_.size() && ev.snapshot.size() <= ways_,
+              "append outside beginBuild/endBuild, or a snapshot outside "
+              "the LLC geometry given to beginBuild");
     pc_id_.push_back(pcs_.intern(ev.pc));
     addr_id_.push_back(addrs_.intern(ev.address));
     set_.push_back(ev.set);
@@ -135,33 +135,20 @@ TraceTable::append(const sim::ReplayEvent &ev)
     evicted_pc_id_.push_back(ev.has_victim ? pcs_.intern(ev.evicted_pc)
                                            : 0);
 
-    if (snap_cache_.empty()) {
-        for (const auto &entry : ev.snapshot) {
-            snap_pc_id_.push_back(pcs_.intern(entry.pc));
-            snap_line_id_.push_back(lines_.intern(entry.line));
+    SnapSlot *slots = &snap_cache_[static_cast<std::size_t>(ev.set) * ways_];
+    std::uint32_t &filled = snap_filled_[ev.set];
+    const auto n = static_cast<std::uint32_t>(ev.snapshot.size());
+    for (std::uint32_t k = 0; k < n; ++k) {
+        const sim::SnapshotEntry &entry = ev.snapshot[k];
+        SnapSlot &slot = slots[k];
+        if (k >= filled || slot.pc != entry.pc || slot.line != entry.line) {
+            slot = SnapSlot{entry.pc, entry.line, pcs_.intern(entry.pc),
+                            lines_.intern(entry.line)};
         }
-    } else {
-        CM_ASSERT(ev.set < snap_filled_.size() &&
-                      ev.snapshot.size() <= ways_,
-                  "snapshot outside the LLC geometry given to beginBuild");
-        SnapSlot *slots =
-            &snap_cache_[static_cast<std::size_t>(ev.set) * ways_];
-        std::uint32_t &filled = snap_filled_[ev.set];
-        const auto n = static_cast<std::uint32_t>(ev.snapshot.size());
-        for (std::uint32_t k = 0; k < n; ++k) {
-            const sim::SnapshotEntry &entry = ev.snapshot[k];
-            SnapSlot &slot = slots[k];
-            if (k >= filled || slot.pc != entry.pc ||
-                slot.line != entry.line) {
-                slot = SnapSlot{entry.pc, entry.line,
-                                pcs_.intern(entry.pc),
-                                lines_.intern(entry.line)};
-            }
-            snap_pc_id_.push_back(slot.pc_id);
-            snap_line_id_.push_back(slot.line_id);
-        }
-        filled = std::max(filled, n);
+        snap_pc_id_.push_back(slot.pc_id);
+        snap_line_id_.push_back(slot.line_id);
     }
+    filled = std::max(filled, n);
     snap_off_.push_back(static_cast<std::uint32_t>(snap_pc_id_.size()));
 
     for (const auto score : ev.scores) {

@@ -100,24 +100,25 @@ class TraceTable
     const trace::SymbolTable *symbols() const { return symbols_; }
 
     /**
-     * Prepare the table for `rows` appends of events replayed through
-     * `llc` (whose line size renders line base addresses), keeping `history_len` previous rows per history cell.
-     * Reserves every column, the snapshot and score pools at `ways`
-     * entries per row (a snapshot holds at most one entry per way),
-     * and allocates the build-only per-set snapshot cache that lets
-     * append() skip re-interning unchanged ways. endBuild() frees the
-     * cache.
+     * Prepare an empty table for `rows` appends of events replayed
+     * through `llc`, whose line size renders line base addresses;
+     * each row's history holds up to `history_len` previous rows.
+     * Reserves every column, and the snapshot and score pools at
+     * `ways` entries per row (a snapshot holds at most one entry per
+     * way), and allocates the build-only per-set snapshot cache that
+     * lets append() skip re-interning unchanged entries. endBuild()
+     * frees the cache.
      */
     void beginBuild(std::size_t rows, const sim::CacheConfig &llc,
                     std::uint32_t history_len);
 
     /**
-     * Append one replay event. A snapshot entry is interned only when
-     * it differs from the same position of that set's previous
-     * snapshot; an unchanged one reuses the ids interned then, so no
-     * skipped intern could have created an id and every dictionary
-     * stays in first-seen order. Without beginBuild() every entry is
-     * interned.
+     * Append one replay event; only between beginBuild() and
+     * endBuild(). A snapshot entry is interned only when it differs
+     * from the same position of that set's previous snapshot; an
+     * unchanged one reuses the ids interned then, so no skipped
+     * intern could have created an id and every dictionary stays in
+     * first-seen order.
      */
     void append(const sim::ReplayEvent &ev);
 
@@ -297,13 +298,13 @@ class TraceTable
     // max(0, i - history_len_)..i-1, read back from the core columns.
     std::uint32_t history_len_ = 0;
 
-    /** One way of a set's previous snapshot, with its interned ids. */
+    /** One entry of a set's previous snapshot, with its ids. */
     struct SnapSlot
     {
-        std::uint64_t pc;
-        std::uint64_t line;
-        std::uint32_t pc_id;
-        std::uint32_t line_id;
+        std::uint64_t pc = 0;
+        std::uint64_t line = 0;
+        std::uint32_t pc_id = 0;
+        std::uint32_t line_id = 0;
     };
     // Build-only snapshot cache (beginBuild .. endBuild): ways_ slots
     // per set, of which snap_filled_[set] hold interned entries.
