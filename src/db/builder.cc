@@ -108,8 +108,7 @@ buildShard(const WorkloadArtifacts &a, policy::PolicyKind pk,
                     [&](const sim::ReplayEvent &ev) { table.append(ev); });
     table.endBuild();
 
-    std::string key = shardKey(entry.workload, entry.policy);
-    return std::make_unique<TraceShard>(std::move(key), std::move(entry));
+    return std::make_unique<TraceShard>(std::move(entry));
 }
 
 } // namespace

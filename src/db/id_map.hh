@@ -7,9 +7,10 @@
  * victim, and each set-snapshot entry that changed since the set's
  * previous snapshot, most of them already present. A node-based map
  * allocates and frees a node on every such repeat; here a repeat is
- * one hash and a short linear probe, with no allocation. Slots hold only the 32-bit id and the
- * key is compared through the dense id -> value array the table needs
- * anyway, so the index costs 4 bytes per slot. The slot count is a
+ * one hash and a short linear probe, with no allocation. Slots hold
+ * only the 32-bit id and the key is compared through the dense
+ * id -> value array the table needs anyway, so the index costs 4
+ * bytes per slot. The slot count is a
  * power of two and doubles at 50% load, so probes stay short. Every
  * 64-bit key, including 0, is valid.
  */

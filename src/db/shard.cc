@@ -15,9 +15,9 @@ shardKey(const std::string &workload, const std::string &policy)
     return workload + "_evictions_" + policy;
 }
 
-TraceShard::TraceShard(std::string key, TraceEntry entry)
-    : key_(std::move(key)), entry_(std::move(entry)),
-      expert_(entry_.table)
+TraceShard::TraceShard(TraceEntry entry)
+    : key_(shardKey(entry.workload, entry.policy)),
+      entry_(std::move(entry)), expert_(entry_.table)
 {
     entry_.metadata = buildMetadataString(expert_);
 }

@@ -51,14 +51,15 @@ struct TraceEntry
 
 /**
  * Unit of ownership for one (workload, policy) pair. The constructor
- * builds the shard's StatsExpert over the entry's table and formats
- * the entry's metadata from it; after that the shard is immutable
- * except for the table's lazily built postings index.
+ * keys the shard by the entry's workload and policy, builds its
+ * StatsExpert over the entry's table and formats the entry's metadata
+ * from it; after that the shard is immutable except for the table's
+ * lazily built postings index.
  */
 class TraceShard
 {
   public:
-    TraceShard(std::string key, TraceEntry entry);
+    explicit TraceShard(TraceEntry entry);
     TraceShard(const TraceShard &) = delete;
     TraceShard &operator=(const TraceShard &) = delete;
 
