@@ -838,7 +838,8 @@ expectBuildMatchesPerRowInterning(const BuildOptions &opts)
             ASSERT_EQ(t.size(), ref.pc_id_.size()) << key;
             // With equal dictionaries, equal values are equal ids.
             for (std::size_t i = 0; i < t.size(); ++i) {
-                ASSERT_EQ(t.pcAt(i), ref.pcs_[ref.pc_id_[i]]) << key << i;
+                ASSERT_EQ(t.pcAt(i), ref.pcs_[ref.pc_id_[i]])
+                    << key << " row " << i;
                 ASSERT_EQ(t.addressAt(i), ref.addrs_[ref.addr_id_[i]])
                     << key << " row " << i;
                 if (t.hasVictimAt(i)) {
